@@ -49,6 +49,10 @@
 //! drives the step count towards `Θ(n³)` — Square n = 512 already needs ~3·10⁸
 //! selections and n = 1024 exceeds 2·10⁹, so Square is swept to 512 and its legacy
 //! rows to 128. `--legacy-max` can lower (never raise) the legacy caps.
+//!
+//! `--help` prints the usage and exits 0. An unknown flag, a missing value or a
+//! malformed one prints the usage on stderr and exits 2 before any run starts or any
+//! file is written.
 
 use nc_bench::sweep::{SweepProfile, SweepRow};
 use nc_core::scheduler::Scheduler;
@@ -515,40 +519,114 @@ fn smoke(protos: &[Proto], seed: u64) {
     );
 }
 
+const USAGE: &str = "\
+usage: scheduler_sweep [--smoke] [--profile] [--out PATH] [--protocols LIST]
+                       [--sizes LIST] [--legacy-max N] [--help]
+
+  --smoke           run the CI gate instead of the sweep (writes nothing)
+  --profile         attach telemetry and report per-phase columns
+  --out PATH        where to write the artifact (default BENCH_scheduler.json)
+  --protocols LIST  comma-separated subset of line,square,counting
+  --sizes LIST      comma-separated population sizes (default 64,128,256,512,1024)
+  --legacy-max N    lower the legacy sampler's per-protocol size caps to N
+  --help, -h        print this message and exit";
+
+/// The parsed command line.
+struct Options {
+    out_path: String,
+    protos: Vec<Proto>,
+    sizes: Vec<usize>,
+    legacy_max: usize,
+    profile: bool,
+    smoke: bool,
+}
+
+/// What the command line asks for: the usage text, or a run.
+enum Command {
+    Help,
+    Run(Options),
+}
+
+/// Parses the arguments after the program name. Every unknown flag, missing value or
+/// malformed value is an error, so a typo never silently starts the full sweep.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut options = Options {
+        out_path: "BENCH_scheduler.json".to_string(),
+        protos: vec![Proto::Line, Proto::Square, Proto::Counting],
+        sizes: vec![64, 128, 256, 512, 1024],
+        legacy_max: usize::MAX,
+        profile: false,
+        smoke: false,
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--smoke" => options.smoke = true,
+            "--profile" => options.profile = true,
+            "--out" => options.out_path = value("--out")?,
+            "--protocols" => {
+                options.protos = value("--protocols")?
+                    .split(',')
+                    .map(|p| match p {
+                        "line" => Ok(Proto::Line),
+                        "square" => Ok(Proto::Square),
+                        "counting" => Ok(Proto::Counting),
+                        other => Err(format!(
+                            "unknown protocol `{other}` (use line,square,counting)"
+                        )),
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            "--sizes" => {
+                options.sizes = value("--sizes")?
+                    .split(',')
+                    .map(|n| match n.parse() {
+                        Ok(n) if n > 0 => Ok(n),
+                        _ => Err(format!("--sizes: `{n}` is not a positive integer")),
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            "--legacy-max" => {
+                let v = value("--legacy-max")?;
+                options.legacy_max = v
+                    .parse()
+                    .map_err(|_| format!("--legacy-max: `{v}` is not an integer"))?;
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Command::Run(options))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
+    let Options {
+        out_path,
+        protos,
+        sizes,
+        legacy_max,
+        profile,
+        smoke: smoke_only,
+    } = match parse_args(&args) {
+        Ok(Command::Run(options)) => options,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("scheduler_sweep: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
     };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_scheduler.json".to_string());
-    let protos: Vec<Proto> = flag_value("--protocols")
-        .map(|list| {
-            list.split(',')
-                .map(|p| match p {
-                    "line" => Proto::Line,
-                    "square" => Proto::Square,
-                    "counting" => Proto::Counting,
-                    other => panic!("unknown protocol {other} (use line,square,counting)"),
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| vec![Proto::Line, Proto::Square, Proto::Counting]);
-    let sizes: Vec<usize> = flag_value("--sizes")
-        .map(|list| {
-            list.split(',')
-                .map(|s| s.parse().expect("size must be an integer"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![64, 128, 256, 512, 1024]);
-    let legacy_max: usize = flag_value("--legacy-max")
-        .map(|v| v.parse().expect("--legacy-max must be an integer"))
-        .unwrap_or(usize::MAX);
-    let profile = args.iter().any(|a| a == "--profile");
     let seed = 1u64;
 
-    if args.iter().any(|a| a == "--smoke") {
+    if smoke_only {
         smoke(&protos, seed);
         return;
     }

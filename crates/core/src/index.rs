@@ -34,6 +34,7 @@
 //! [`crate::World`] is `Sync` and concurrent read-side queries are safe.
 
 use crate::component::{Component, DeterministicState};
+use crate::ranked::RankedSet;
 use crate::shard::{ShardMap, PARALLEL_FLUSH_MIN};
 use crate::{Interaction, NodeId, Placement, Protocol};
 use nc_geometry::{Dim, Dir};
@@ -160,8 +161,8 @@ impl InteractionIndex {
 //
 // 1. **Intra-component pairs** (bonded, or facing-adjacent in the same component):
 //    purely local — whether `(x, pa)` participates depends only on `x`'s links and the
-//    occupancy of the single cell its port faces. Stored as canonical pair keys, sorted,
-//    in the sub-index of the shard owning the pair's smaller endpoint.
+//    occupancy of the single cell its port faces. Stored as canonical pair keys in a
+//    blocked rank bucket (below) of the shard owning the pair's smaller endpoint.
 // 2. **Multi-component node × free singleton**: a port of a node in a ≥2-node component
 //    whose facing cell is unoccupied accepts *any* free singleton through *any* of its
 //    ports (singletons are arbitrarily rotatable and have no other cells to collide),
@@ -190,9 +191,9 @@ impl InteractionIndex {
 // # Sharded layout and the shared class-count aggregate
 //
 // Registrations are split by node across **shards** (contiguous id ranges,
-// [`ShardMap`]): each shard owns the sorted singleton/free-port buckets of its nodes
-// (per state class) and the sorted canonical keys of the intra pairs whose smaller
-// endpoint it owns. On top of the per-shard sub-indices one **shared aggregate** keeps,
+// [`ShardMap`]): each shard owns the singleton/free-port buckets of its nodes (per
+// state class) and the canonical keys of the intra pairs whose smaller endpoint it
+// owns. On top of the per-shard sub-indices one **shared aggregate** keeps,
 // per state class, the population-wide bucket sizes (`g[class][port]`, `s[class]`) and
 // a running total of the effective pair count, updated with an exact `O(classes·ports)`
 // delta on every single registration change — the "sum of per-shard rates" the sharded
@@ -200,14 +201,26 @@ impl InteractionIndex {
 // tables filled when a class is allocated, so both the delta maintenance and the
 // uniform sampling walk touch plain arrays, never a hash map.
 //
+// # Blocked rank buckets
+//
+// Every bucket and key list is a [`RankedSet`]: a sorted sequence cut into blocks of
+// fewer than `2·B` entries (a full block splits in half, an empty one is dropped).
+// A registration change binary-searches the block list and shifts entries inside one
+// block, so its cost does not grow with the bucket (one sorted array would pay an
+// `O(bucket)` memmove per change, and a bucket can hold most of the population).
+// Rank queries (`kth_singleton`, `kth_free_port`, the intra segment of the sampling
+// walks) walk the block lengths and answer in the bucket's sorted order, exactly as
+// a single sorted `Vec` would; the block layout is invisible to every sampler, so
+// trajectories and checkpoint bytes do not depend on it (`tests/trajectory_pins.rs`).
+//
 // # Shard-count invariance (the parallel-equivalence property)
 //
 // Every ordering the samplers can observe is canonical in the *configuration*, not in
 // the shard layout:
 //
-// * per-shard bucket and key lists are sorted, and shards are contiguous id ranges, so
-//   concatenating them in shard order yields the global sorted order for any shard
-//   count;
+// * per-shard buckets and key lists are ranked in sorted order, and shards are
+//   contiguous id ranges, so concatenating them in shard order yields the global
+//   sorted order for any shard count;
 // * state-class ids are allocated in the order classes are first seen, and nodes are
 //   re-derived in ascending id order (`World::flush_pairs` sorts its batch), so the
 //   class table is identical for any shard count;
@@ -381,50 +394,53 @@ pub(crate) struct BaseCounts {
 }
 
 /// One shard's sub-index: the registrations of its contiguous node-id range, every
-/// list sorted so shard-order concatenation is the global canonical order.
+/// bucket a [`RankedSet`] so shard-order concatenation is the global canonical order.
 #[derive(Default)]
 struct Shard {
     /// Canonical keys of the intra pairs whose smaller endpoint this shard owns.
-    intra: Vec<u64>,
+    intra: RankedSet<u64>,
     /// The effective subset of `intra`.
-    intra_eff: Vec<u64>,
+    intra_eff: RankedSet<u64>,
     /// Per state class: this shard's free singletons, ascending by node id.
-    singletons: Vec<Vec<NodeId>>,
+    singletons: Vec<RankedSet<NodeId>>,
     /// Per state class and port: this shard's multi-component nodes in that state whose
     /// port faces a free cell, ascending by node id.
-    free_ports: Vec<[Vec<NodeId>; 6]>,
+    free_ports: Vec<[RankedSet<NodeId>; 6]>,
 }
 
+/// The bucket of a class a shard has never registered.
+static EMPTY_BUCKET: RankedSet<NodeId> = RankedSet::new();
+
 impl Shard {
-    fn singleton_bucket(&self, class: u32) -> &[NodeId] {
-        self.singletons
-            .get(class as usize)
-            .map_or(&[], Vec::as_slice)
+    fn singleton_bucket(&self, class: u32) -> &RankedSet<NodeId> {
+        self.singletons.get(class as usize).unwrap_or(&EMPTY_BUCKET)
     }
 
-    fn free_bucket(&self, class: u32, pa: Dir) -> &[NodeId] {
+    fn free_bucket(&self, class: u32, pa: Dir) -> &RankedSet<NodeId> {
         self.free_ports
             .get(class as usize)
-            .map_or(&[], |ports| ports[pa.index()].as_slice())
+            .map_or(&EMPTY_BUCKET, |ports| &ports[pa.index()])
     }
 
-    fn singleton_bucket_mut(&mut self, class: u32) -> &mut Vec<NodeId> {
+    fn singleton_bucket_mut(&mut self, class: u32) -> &mut RankedSet<NodeId> {
         if self.singletons.len() <= class as usize {
-            self.singletons.resize_with(class as usize + 1, Vec::new);
+            self.singletons
+                .resize_with(class as usize + 1, RankedSet::new);
         }
         &mut self.singletons[class as usize]
     }
 
-    fn free_bucket_mut(&mut self, class: u32, pa: Dir) -> &mut Vec<NodeId> {
+    fn free_bucket_mut(&mut self, class: u32, pa: Dir) -> &mut RankedSet<NodeId> {
         if self.free_ports.len() <= class as usize {
             self.free_ports
-                .resize_with(class as usize + 1, || std::array::from_fn(|_| Vec::new()));
+                .resize_with(class as usize + 1, Default::default);
         }
         &mut self.free_ports[class as usize][pa.index()]
     }
 }
 
-/// Inserts into a sorted vector (no-op when present); returns whether it was new.
+/// Inserts into a sorted vector (no-op when present); returns whether it was new. Used
+/// for the short `live_ids` list only; the buckets are [`RankedSet`]s.
 fn sorted_insert<T: Ord + Copy>(list: &mut Vec<T>, value: T) -> bool {
     match list.binary_search(&value) {
         Ok(_) => false,
@@ -1156,7 +1172,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.s[class as usize] += 1;
         self.singleton_total += 1;
         let shard = self.map.shard_of(x);
-        let inserted = sorted_insert(self.shards[shard].singleton_bucket_mut(class), x);
+        let inserted = self.shards[shard].singleton_bucket_mut(class).insert(x);
         debug_assert!(inserted);
         self.reg_singleton[x.index()] = true;
     }
@@ -1168,7 +1184,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let class = self.node_class[x.index()];
         self.log(|| IndexOp::DropSingleton { x, class });
         let shard = self.map.shard_of(x);
-        let removed = sorted_remove(self.shards[shard].singleton_bucket_mut(class), x);
+        let removed = self.shards[shard].singleton_bucket_mut(class).remove(x);
         debug_assert!(removed);
         self.reg_singleton[x.index()] = false;
         self.s[class as usize] -= 1;
@@ -1184,7 +1200,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.g[class as usize][pa.index()] += 1;
         self.free_total += 1;
         let shard = self.map.shard_of(x);
-        let inserted = sorted_insert(self.shards[shard].free_bucket_mut(class, pa), x);
+        let inserted = self.shards[shard].free_bucket_mut(class, pa).insert(x);
         debug_assert!(inserted);
         self.reg_free[x.index()] |= 1 << pa.index();
     }
@@ -1196,7 +1212,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let class = self.node_class[x.index()];
         self.log(|| IndexOp::DropFreePort { x, pa, class });
         let shard = self.map.shard_of(x);
-        let removed = sorted_remove(self.shards[shard].free_bucket_mut(class, pa), x);
+        let removed = self.shards[shard].free_bucket_mut(class, pa).remove(x);
         debug_assert!(removed);
         self.reg_free[x.index()] &= !(1 << pa.index());
         self.g[class as usize][pa.index()] -= 1;
@@ -1206,7 +1222,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
 
     fn intra_insert(&mut self, key: u64) {
         let shard = self.map.shard_of(key_owner(key));
-        if sorted_insert(&mut self.shards[shard].intra, key) {
+        if self.shards[shard].intra.insert(key) {
             self.intra_total += 1;
             self.log(|| IndexOp::IntraInsert { key });
         }
@@ -1214,7 +1230,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
 
     fn intra_eff_insert(&mut self, key: u64) {
         let shard = self.map.shard_of(key_owner(key));
-        if sorted_insert(&mut self.shards[shard].intra_eff, key) {
+        if self.shards[shard].intra_eff.insert(key) {
             self.intra_eff_total += 1;
             self.log(|| IndexOp::IntraEffInsert { key });
         }
@@ -1222,7 +1238,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
 
     fn intra_eff_remove(&mut self, key: u64) {
         let shard = self.map.shard_of(key_owner(key));
-        if sorted_remove(&mut self.shards[shard].intra_eff, key) {
+        if self.shards[shard].intra_eff.remove(key) {
             self.intra_eff_total -= 1;
             self.log(|| IndexOp::IntraEffRemove { key });
         }
@@ -1240,7 +1256,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     fn unlink_intra(&mut self, x: NodeId, pa: Dir, entry: IntraEntry) {
         let key = pair_key(x, pa, entry.peer, entry.pport);
         let shard = self.map.shard_of(key_owner(key));
-        if sorted_remove(&mut self.shards[shard].intra, key) {
+        if self.shards[shard].intra.remove(key) {
             self.intra_total -= 1;
             self.log(|| IndexOp::IntraRemove { key });
         }
@@ -1292,13 +1308,13 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                 }
                 IndexOp::IntraInsert { key } => {
                     let shard = self.map.shard_of(key_owner(key));
-                    let removed = sorted_remove(&mut self.shards[shard].intra, key);
+                    let removed = self.shards[shard].intra.remove(key);
                     debug_assert!(removed);
                     self.intra_total -= 1;
                 }
                 IndexOp::IntraRemove { key } => {
                     let shard = self.map.shard_of(key_owner(key));
-                    let inserted = sorted_insert(&mut self.shards[shard].intra, key);
+                    let inserted = self.shards[shard].intra.insert(key);
                     debug_assert!(inserted);
                     self.intra_total += 1;
                 }
@@ -1471,8 +1487,8 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     fn kth_singleton(&self, c: u32, mut k: u64) -> NodeId {
         for shard in &self.shards {
             let bucket = shard.singleton_bucket(c);
-            if (k as usize) < bucket.len() {
-                return bucket[k as usize];
+            if let Some(x) = bucket.get(k as usize) {
+                return x;
             }
             k -= bucket.len() as u64;
         }
@@ -1483,8 +1499,8 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     fn kth_free_port(&self, c: u32, pa: Dir, mut k: u64) -> NodeId {
         for shard in &self.shards {
             let bucket = shard.free_bucket(c, pa);
-            if (k as usize) < bucket.len() {
-                return bucket[k as usize];
+            if let Some(x) = bucket.get(k as usize) {
+                return x;
             }
             k -= bucket.len() as u64;
         }
@@ -1521,8 +1537,8 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     /// shard count.
     pub(crate) fn sample_effective(&self, dim: Dim, mut idx: u64) -> (NodeId, Dir, NodeId, Dir) {
         for shard in &self.shards {
-            if (idx as usize) < shard.intra_eff.len() {
-                return unpack_key(shard.intra_eff[idx as usize]);
+            if let Some(key) = shard.intra_eff.get(idx as usize) {
+                return unpack_key(key);
             }
             idx -= shard.intra_eff.len() as u64;
         }
@@ -1609,8 +1625,8 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     /// [`PairIndex::sample_effective`].
     pub(crate) fn sample_permissible(&self, dim: Dim, mut idx: u64) -> (NodeId, Dir, NodeId, Dir) {
         for shard in &self.shards {
-            if (idx as usize) < shard.intra.len() {
-                return unpack_key(shard.intra[idx as usize]);
+            if let Some(key) = shard.intra.get(idx as usize) {
+                return unpack_key(key);
             }
             idx -= shard.intra.len() as u64;
         }
@@ -1668,7 +1684,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let mut out: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|sh| sh.intra_eff.iter().copied())
+            .flat_map(|sh| sh.intra_eff.iter())
             .collect();
         for &ca in &self.live_ids {
             for &pa in dim.dirs() {
@@ -1685,9 +1701,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                             continue;
                         }
                         for shard_x in &self.shards {
-                            for &x in shard_x.free_bucket(ca, pa) {
+                            for x in shard_x.free_bucket(ca, pa).iter() {
                                 for shard_y in &self.shards {
-                                    for &y in shard_y.singleton_bucket(cb) {
+                                    for y in shard_y.singleton_bucket(cb).iter() {
                                         out.push(pair_key(x, pa, y, pb));
                                     }
                                 }
@@ -1706,9 +1722,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                             continue;
                         }
                         for shard_y in &self.shards {
-                            for &y in shard_y.singleton_bucket(ca) {
+                            for y in shard_y.singleton_bucket(ca).iter() {
                                 for shard_z in &self.shards {
-                                    for &z in shard_z.singleton_bucket(cb) {
+                                    for z in shard_z.singleton_bucket(cb).iter() {
                                         // Within one class the smaller id takes `pa`
                                         // (the counting convention); across classes all
                                         // ordered role assignments are distinct cells.
@@ -1733,11 +1749,11 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             .iter()
             .map(|shard| {
                 (
-                    shard.singletons.iter().map(Vec::len).sum(),
+                    shard.singletons.iter().map(RankedSet::len).sum(),
                     shard
                         .free_ports
                         .iter()
-                        .flat_map(|ports| ports.iter().map(Vec::len))
+                        .flat_map(|ports| ports.iter().map(RankedSet::len))
                         .sum(),
                     shard.intra.len(),
                 )
@@ -1745,16 +1761,18 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             .collect()
     }
 
-    /// Structural invariants of the sharded layout: per-shard lists sorted, every entry
-    /// owned by its shard, aggregate totals equal to recounted bucket sums. Used by the
-    /// validation suite.
+    /// Structural invariants of the sharded layout: every bucket satisfies the
+    /// [`RankedSet`] block invariants (no empty block, no block of `2·B` entries or
+    /// more, `len` equal to the summed block lengths, entries strictly increasing),
+    /// every entry is owned by its shard, and the aggregate totals equal recounted
+    /// bucket sums. Used by the validation suite.
     pub(crate) fn check_sharding(&self) -> Result<(), String> {
-        let sorted = |v: &[u64]| v.windows(2).all(|w| w[0] < w[1]);
         for (i, shard) in self.shards.iter().enumerate() {
-            if !sorted(&shard.intra) || !sorted(&shard.intra_eff) {
-                return Err(format!("shard {i}: intra key lists not strictly sorted"));
+            for list in [&shard.intra, &shard.intra_eff] {
+                list.check()
+                    .map_err(|e| format!("shard {i}: intra key list: {e}"))?;
             }
-            for &key in shard.intra.iter().chain(&shard.intra_eff) {
+            for key in shard.intra.iter().chain(shard.intra_eff.iter()) {
                 if self.map.shard_of(key_owner(key)) != i {
                     return Err(format!("shard {i}: foreign intra key {key:#x}"));
                 }
@@ -1764,10 +1782,10 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                 .iter()
                 .chain(shard.free_ports.iter().flat_map(|p| p.iter()))
             {
-                if !bucket.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("shard {i}: bucket not strictly sorted"));
-                }
-                if bucket.iter().any(|&x| self.map.shard_of(x) != i) {
+                bucket
+                    .check()
+                    .map_err(|e| format!("shard {i}: bucket: {e}"))?;
+                if bucket.iter().any(|x| self.map.shard_of(x) != i) {
                     return Err(format!("shard {i}: foreign bucket member"));
                 }
             }

@@ -60,6 +60,7 @@ mod index;
 mod lock;
 mod node;
 mod protocol;
+mod ranked;
 pub mod rng;
 pub mod scheduler;
 pub mod shard;

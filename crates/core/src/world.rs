@@ -167,7 +167,10 @@ pub struct World<P: Protocol> {
     bond_count: usize,
     rotations: Vec<Rotation>,
     /// Cached `protocol.is_halted(state)` per node, kept in sync with every state write.
+    /// Written only through [`World::set_halted`], which keeps `halted_count` in step.
     halted: Vec<bool>,
+    /// Number of `true` entries in `halted`: makes `any_halted`/`all_halted` `O(1)`.
+    halted_count: usize,
     /// The partition of node ids into contiguous shards (see [`crate::shard`]).
     shard_map: ShardMap,
     /// The incremental interaction index (per-shard dirty frontier + configuration
@@ -232,12 +235,11 @@ impl<P: Protocol> World<P> {
         let states: Vec<P::State> = (0..n)
             .map(|i| protocol.initial_state(NodeId::new(i as u32), n))
             .collect();
-        let halted = states.iter().map(|s| protocol.is_halted(s)).collect();
         let components = (0..n)
             .map(|i| Some(Component::singleton(NodeId::new(i as u32))))
             .collect();
         let shard_map = ShardMap::new(n, shards);
-        World {
+        let mut world = World {
             rotations: Rotation::all(dim),
             protocol,
             dim,
@@ -247,7 +249,8 @@ impl<P: Protocol> World<P> {
             components,
             links: vec![[None; 6]; n],
             bond_count: 0,
-            halted,
+            halted: vec![false; n],
+            halted_count: 0,
             shard_map,
             index: InteractionIndex::new(shard_map),
             pairs: Mutex::new(PairCell {
@@ -266,7 +269,9 @@ impl<P: Protocol> World<P> {
             scratch_epoch: 0,
             delta: DeltaLog::new(),
             obs: Telemetry::disabled(),
-        }
+        };
+        world.refresh_halted_all();
+        world
     }
 
     /// Attaches a telemetry handle: subsequent merges/splits, index flushes and
@@ -313,6 +318,28 @@ impl<P: Protocol> World<P> {
             self.delta.record(move || WorldRecord::State { node, old });
             let old = self.halted[node];
             self.delta.record(move || WorldRecord::Halted { node, old });
+        }
+    }
+
+    /// Writes the halted cache of `node`. Every write to `halted` goes through here, so
+    /// `halted_count` always equals the number of halted nodes.
+    #[inline]
+    fn set_halted(&mut self, node: usize, halted: bool) {
+        let was = std::mem::replace(&mut self.halted[node], halted);
+        self.halted_count = self.halted_count + usize::from(halted) - usize::from(was);
+    }
+
+    /// Re-derives the halted cache of `node` from its current state.
+    #[inline]
+    fn refresh_halted(&mut self, node: usize) {
+        let halted = self.protocol.is_halted(&self.states[node]);
+        self.set_halted(node, halted);
+    }
+
+    /// Re-derives the whole halted cache (construction and snapshot restore).
+    fn refresh_halted_all(&mut self) {
+        for node in 0..self.states.len() {
+            self.refresh_halted(node);
         }
     }
 
@@ -385,7 +412,7 @@ impl<P: Protocol> World<P> {
     pub fn set_state(&mut self, node: NodeId, state: P::State) {
         self.record_state(node.index());
         self.states[node.index()] = state;
-        self.halted[node.index()] = self.protocol.is_halted(&self.states[node.index()]);
+        self.refresh_halted(node.index());
         self.index.bump_version();
         self.mark_dirty(node);
         self.pair_touch(node);
@@ -612,8 +639,8 @@ impl<P: Protocol> World<P> {
             }
         }
         if outcome.effective {
-            self.halted[a.index()] = self.protocol.is_halted(&self.states[a.index()]);
-            self.halted[b.index()] = self.protocol.is_halted(&self.states[b.index()]);
+            self.refresh_halted(a.index());
+            self.refresh_halted(b.index());
             self.index.bump_version();
             self.mark_dirty(a);
             self.mark_dirty(b);
@@ -1340,7 +1367,7 @@ impl<P: Protocol> World<P> {
         for record in records.into_iter().rev() {
             match record {
                 WorldRecord::State { node, old } => self.states[node] = old,
-                WorldRecord::Halted { node, old } => self.halted[node] = old,
+                WorldRecord::Halted { node, old } => self.set_halted(node, old),
                 WorldRecord::Link { node, port, old } => self.links[node][port] = old,
                 WorldRecord::CompOf { node, old } => self.comp_of[node] = old,
                 WorldRecord::PlacementOf { node, old } => self.placements[node] = old,
@@ -1723,9 +1750,8 @@ impl<P: Protocol> World<P> {
             None
         };
         let mut world = world;
-        let halted = states.iter().map(|s| world.protocol.is_halted(s)).collect();
-        world.halted = halted;
         world.states = states;
+        world.refresh_halted_all();
         world.placements = placements;
         world.comp_of = comp_of;
         world.components = components;
@@ -1898,13 +1924,23 @@ impl<P: Protocol> World<P> {
     /// [`World::enumerate_permissible`] classification, the incrementally maintained
     /// shared aggregate must equal the recount (the two are computed through
     /// independent code paths — per-shard list sums with a hash memo vs running deltas
-    /// over dense tables), the sharded layout invariants must hold, and the maintained
-    /// effective *set* must match pair for pair. Activates the index if necessary.
+    /// over dense tables), the sharded layout invariants must hold (including the
+    /// block invariants of every rank bucket), and the maintained effective *set* must
+    /// match pair for pair. It also checks the halted-node count behind
+    /// [`World::any_halted`]/[`World::all_halted`] against a scan of the per-node
+    /// halted cache. Activates the index if necessary.
     ///
     /// # Errors
     /// Returns a description of the first discrepancy. Intended for the equivalence
     /// suite; `O(n²·ports²)` — do not call on hot paths.
     pub fn validate_pair_index(&self) -> Result<(), String> {
+        let scanned = self.halted.iter().filter(|&&h| h).count();
+        if scanned != self.halted_count {
+            return Err(format!(
+                "halted count {} disagrees with the {scanned} halted nodes in the cache",
+                self.halted_count
+            ));
+        }
         let Some(summary) = self.pair_counts() else {
             return Err("pair index overflowed its class table".to_string());
         };
@@ -2025,17 +2061,19 @@ impl<P: Protocol> World<P> {
         self.find_effective_interaction_scan().is_none()
     }
 
-    /// Whether every node is in a halted state.
+    /// Whether every node is in a halted state. `O(1)`: reads the halted-node count
+    /// maintained alongside the per-node halted cache.
     #[must_use]
     pub fn all_halted(&self) -> bool {
-        self.halted.iter().all(|&h| h)
+        self.halted_count == self.halted.len()
     }
 
-    /// Whether at least one node is in a halted state (allocation-free, backed by the
-    /// per-node halted cache — suitable as a per-step predicate).
+    /// Whether at least one node is in a halted state. `O(1)` and allocation-free:
+    /// reads the halted-node count maintained alongside the per-node halted cache, so
+    /// it is cheap enough to check after every step.
     #[must_use]
     pub fn any_halted(&self) -> bool {
-        self.halted.iter().any(|&h| h)
+        self.halted_count > 0
     }
 
     /// Nodes currently in a halted state.
