@@ -20,6 +20,10 @@
 //! contain every event family the simulator is expected to emit on that run
 //! (selection, merge, index flush, class allocation, checkpoint). Nothing is
 //! written to disk in smoke mode.
+//!
+//! `--help` prints the usage and exits 0. An unknown flag, a missing value or a
+//! malformed one prints the usage on stderr and exits 2 before any run starts or any
+//! file is written.
 
 use nc_core::{
     SamplingMode, Simulation, SimulationConfig, SnapshotProtocol, Telemetry, TraceEvent,
@@ -64,23 +68,41 @@ fn traced_run<P: SnapshotProtocol>(
     )
 }
 
-fn traced_run_by_name(
-    protocol: &str,
-    n: usize,
-    seed: u64,
-    shards: usize,
-    steps: u64,
-) -> Result<(Vec<TraceEvent>, u64), String> {
-    Ok(match protocol {
-        "line" => traced_run(GlobalLine::new(), n, seed, shards, steps),
-        "square" => traced_run(Square::new(), n, seed, shards, steps),
-        "counting" => traced_run(CountingOnALine::new(2), n, seed, shards, steps),
-        other => {
-            return Err(format!(
-                "unknown protocol {other:?} (use line,square,counting)"
-            ))
+/// The protocols the exporter can drive, by command-line name.
+#[derive(Clone, Copy)]
+enum Proto {
+    Line,
+    Square,
+    Counting,
+}
+
+impl Proto {
+    fn parse(name: &str) -> Result<Proto, String> {
+        match name {
+            "line" => Ok(Proto::Line),
+            "square" => Ok(Proto::Square),
+            "counting" => Ok(Proto::Counting),
+            other => Err(format!(
+                "--protocol: unknown protocol `{other}` (use line,square,counting)"
+            )),
         }
-    })
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Proto::Line => "line",
+            Proto::Square => "square",
+            Proto::Counting => "counting",
+        }
+    }
+
+    fn traced_run(self, n: usize, seed: u64, shards: usize, steps: u64) -> (Vec<TraceEvent>, u64) {
+        match self {
+            Proto::Line => traced_run(GlobalLine::new(), n, seed, shards, steps),
+            Proto::Square => traced_run(Square::new(), n, seed, shards, steps),
+            Proto::Counting => traced_run(CountingOnALine::new(2), n, seed, shards, steps),
+        }
+    }
 }
 
 /// The determinism gate: the pinned run's export must be byte-identical at 1
@@ -127,33 +149,93 @@ fn smoke() -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        return smoke();
-    }
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let parse = |name: &str, default: u64| -> Result<u64, String> {
-        flag_value(name).map_or(Ok(default), |raw| {
-            raw.parse()
-                .map_err(|_| format!("{name}: not a number: {raw:?}"))
-        })
-    };
-    let protocol = flag_value("--protocol").unwrap_or_else(|| "square".to_string());
-    let n = parse("--n", SMOKE_N as u64)? as usize;
-    let seed = parse("--seed", SMOKE_SEED)?;
-    let shards = parse("--shards", default_shards() as u64)? as usize;
-    let steps = parse("--steps", SMOKE_STEPS)?;
-    let out_path = flag_value("--out").unwrap_or_else(|| "TRACE_export.json".to_string());
+const USAGE: &str = "\
+usage: trace_export [--smoke] [--protocol NAME] [--n N] [--seed S] [--shards K]
+                    [--steps T] [--out PATH] [--help]
 
-    let (events, dropped) = traced_run_by_name(&protocol, n, seed, shards, steps)?;
-    let name = format!("{protocol}-n{n}-seed{seed}");
+  --smoke          run the CI determinism gate instead of an export (writes nothing)
+  --protocol NAME  one of line,square,counting (default square)
+  --n N            population size, positive (default 16)
+  --seed S         scheduler seed (default 42)
+  --shards K       shard count, positive (default NC_SHARDS or 1)
+  --steps T        driver steps before the end-of-run checkpoint (default 200)
+  --out PATH       where to write the trace (default TRACE_export.json)
+  --help, -h       print this message and exit";
+
+/// The parsed command line.
+struct Options {
+    smoke: bool,
+    protocol: Proto,
+    n: usize,
+    seed: u64,
+    shards: usize,
+    steps: u64,
+    out_path: String,
+}
+
+/// What the command line asks for: the usage text, or a run.
+enum Command {
+    Help,
+    Run(Options),
+}
+
+/// Parses the arguments after the program name. Every unknown flag, missing value or
+/// malformed value is an error, so a typo never silently exports the defaults over an
+/// existing trace.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut options = Options {
+        smoke: false,
+        protocol: Proto::Square,
+        n: SMOKE_N,
+        seed: SMOKE_SEED,
+        shards: default_shards(),
+        steps: SMOKE_STEPS,
+        out_path: "TRACE_export.json".to_string(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        let number = |flag: &str, raw: String| {
+            raw.parse::<u64>()
+                .map_err(|_| format!("{flag}: `{raw}` is not an integer"))
+        };
+        let positive = |flag: &str, raw: String| match raw.parse::<usize>() {
+            Ok(v) if v > 0 => Ok(v),
+            _ => Err(format!("{flag}: `{raw}` is not a positive integer")),
+        };
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--smoke" => options.smoke = true,
+            "--protocol" => options.protocol = Proto::parse(&value("--protocol")?)?,
+            "--n" => options.n = positive("--n", value("--n")?)?,
+            "--seed" => options.seed = number("--seed", value("--seed")?)?,
+            "--shards" => options.shards = positive("--shards", value("--shards")?)?,
+            "--steps" => options.steps = number("--steps", value("--steps")?)?,
+            "--out" => options.out_path = value("--out")?,
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Command::Run(options))
+}
+
+fn export(options: &Options) -> Result<(), String> {
+    let (events, dropped) =
+        options
+            .protocol
+            .traced_run(options.n, options.seed, options.shards, options.steps);
+    let name = format!(
+        "{}-n{}-seed{}",
+        options.protocol.name(),
+        options.n,
+        options.seed
+    );
     let json = chrome_trace_json(&events, &name);
-    std::fs::write(&out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
+    let out_path = &options.out_path;
+    std::fs::write(out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
     eprintln!(
         "wrote {out_path}: {} events ({} dropped from the ring), {} bytes",
         events.len(),
@@ -169,7 +251,24 @@ fn default_shards() -> usize {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match parse_args(&args) {
+        Ok(Command::Run(options)) => options,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("trace_export: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let result = if options.smoke {
+        smoke()
+    } else {
+        export(&options)
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("trace_export: {message}");

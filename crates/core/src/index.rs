@@ -198,8 +198,21 @@ impl InteractionIndex {
 // a running total of the effective pair count, updated with an exact `O(classes·ports)`
 // delta on every single registration change — the "sum of per-shard rates" the sharded
 // sampler composes its geometric jumps from. Class-pair effectiveness lives in dense
-// tables filled when a class is allocated, so both the delta maintenance and the
+// tables (`effmask[x][pa][c]`, `epc[x][c]`), so both the delta maintenance and the
 // uniform sampling walk touch plain arrays, never a hash map.
+//
+// Every reader of the dense tables looks at column `c` only while class `c` holds a
+// free singleton (`s[c] > 0`), and at `epc[x][c]` only while both classes do. So the
+// tables are filled by **column**, lazily: the first time a class registers a
+// singleton, its column is filled against every live class and its `epc` entries
+// against every other column-filled class; a class that becomes live (allocation, or
+// a rollback resurrecting a freed slot) fills only its row against the column-filled
+// classes. The invariant — every live class with `s > 0` is column-filled, and every
+// filled entry equals a fresh evaluation of the two class states — is checked by
+// [`PairIndex::check_sharding`]. A class that never holds a singleton (the counting
+// leader, which rides a multi-node component) costs one row against the few singleton
+// classes instead of a row and a column against every live class. Filled entries are
+// a pure function of the live class states, so the lazy fill cannot move a draw.
 //
 // # Blocked rank buckets
 //
@@ -537,11 +550,17 @@ pub(crate) struct PairIndex<S> {
     /// Running effective count of class 3 (singleton × singleton) pairs.
     class3_eff: u64,
     /// Dense per-(class, port, class) bitmask over the peer port: bit `pb` set ⇔ an
-    /// unbonded cross pair of those states/ports is effective. Filled when a class is
-    /// allocated; lets the aggregate deltas and the sampling walk avoid hashing.
+    /// unbonded cross pair of those states/ports is effective. Valid in the columns of
+    /// `filled` classes only (see the section comment); lets the aggregate deltas and
+    /// the sampling walk avoid hashing.
     effmask: Vec<u8>,
-    /// Dense per-class-pair count of effective ordered port pairs (`Σ popcount`).
+    /// Dense per-class-pair count of effective ordered port pairs (`Σ popcount`),
+    /// valid where both classes are in `filled`.
     epc: Vec<u16>,
+    /// Bit `c` set ⇔ class `c` is live and its column of `effmask` (and its `epc`
+    /// entries against the other filled classes) is filled. Set by the first singleton
+    /// registration of the class, cleared when the class leaves the live set.
+    filled: u64,
     /// Effectiveness memo for the *recount* path ([`PairIndex::counts`]), kept
     /// hash-based and independent of the dense tables so the two computations
     /// cross-validate each other.
@@ -584,6 +603,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             class3_eff: 0,
             effmask: Vec::new(),
             epc: Vec::new(),
+            filled: 0,
             memo: HashMap::default(),
             oplog: Vec::new(),
             logging: false,
@@ -761,9 +781,8 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.live_ids = (0..self.classes.len() as u32)
             .filter(|&id| self.classes[id as usize].is_some())
             .collect();
-        for &id in &self.live_ids.clone() {
-            self.fill_class_tables(protocol, view.dim, id);
-        }
+        // No column is filled yet, so the seeded classes need no rows: registering the
+        // population fills each singleton class's column against all of them.
         let pinned_live = self.live_ids.clone();
         let pinned_free = self.free_class_slots.clone();
         let pinned_len = self.classes.len();
@@ -919,7 +938,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         }
         if facts.singleton != self.reg_singleton[xi] {
             if facts.singleton {
-                self.register_singleton(dim, class, x);
+                self.register_singleton(protocol, dim, class, x);
             } else {
                 self.drop_singleton_reg(dim, x);
             }
@@ -1027,49 +1046,87 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             class: id,
             reused_slot,
         });
-        self.fill_class_tables(protocol, dim, id);
+        self.fill_class_row(protocol, dim, id);
         Ok(id)
     }
 
-    /// Fills the dense effectiveness tables of class `id` against every live class
-    /// (including itself). Called on allocation, and again when a rollback resurrects
-    /// a freed class whose rows a slot-reusing allocation may have overwritten.
-    /// Totals of the class are zero at both call sites, so filling cannot disturb the
-    /// running aggregate.
-    fn fill_class_tables<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim, id: u32) {
+    /// Fills row `id` of the dense tables against every column-filled class. Called
+    /// when `id` becomes live — on allocation, and when a rollback resurrects a freed
+    /// class whose row a slot-reusing allocation may have overwritten. The class holds
+    /// no singleton yet, so its own column stays unfilled (see
+    /// [`PairIndex::fill_class_column`]) and its `epc` entries are not read.
+    fn fill_class_row<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim, id: u32) {
         debug_assert!(self.s[id as usize] == 0 && self.g[id as usize] == [0; PORT_CAP]);
-        for &other in &self.live_ids.clone() {
-            // `transition_effective` resolves the unordered pair by trying the
-            // first-argument order first, so effectiveness is not automatically
-            // symmetric in the two (state, port) roles: the tables are stored
-            // *directionally* (`epc[x][y] = Σ eff(x, pa, y, pb)`), and every consumer
-            // picks the same canonical orientation as the recount and the sampling
-            // walks (lower live class id first).
-            let mut pairs_fwd = 0u16;
-            let mut pairs_rev = 0u16;
+        debug_assert_eq!(self.filled & (1 << id), 0, "a fresh class has no column");
+        let mut columns = self.filled;
+        while columns != 0 {
+            let c = columns.trailing_zeros();
+            columns &= columns - 1;
             for &pa in dim.dirs() {
-                let mut mask_new_other = 0u8;
-                let mut mask_other_new = 0u8;
-                for &pb in dim.dirs() {
-                    if self.raw_cross_effective(protocol, id, pa, other, pb) {
-                        mask_new_other |= 1 << pb.index();
-                    }
-                    if self.raw_cross_effective(protocol, other, pa, id, pb) {
-                        mask_other_new |= 1 << pb.index();
-                    }
-                }
-                self.effmask[Self::mask_at(id, pa, other)] = mask_new_other;
-                self.effmask[Self::mask_at(other, pa, id)] = mask_other_new;
-                pairs_fwd += u16::from(mask_new_other.count_ones() as u8);
-                pairs_rev += u16::from(mask_other_new.count_ones() as u8);
+                self.effmask[Self::mask_at(id, pa, c)] =
+                    self.effective_ports(protocol, dim, id, pa, c);
             }
-            self.epc[id as usize * CLASS_CAP + other as usize] = pairs_fwd;
-            self.epc[other as usize * CLASS_CAP + id as usize] = pairs_rev;
         }
+    }
+
+    /// Fills column `id` of `effmask` against every live class (itself included) and
+    /// the `epc` entries between `id` and every column-filled class, then marks `id`
+    /// filled. Called by the first singleton registration of the class, before the
+    /// rates read the column; the class has no singleton yet, so no running aggregate
+    /// depends on the entries being written.
+    ///
+    /// `transition_effective` resolves the unordered pair by trying the first-argument
+    /// order first, so effectiveness is not automatically symmetric in the two
+    /// (state, port) roles: the tables are stored *directionally*
+    /// (`epc[x][y] = Σ eff(x, pa, y, pb)`), and every consumer picks the same canonical
+    /// orientation as the recount and the sampling walks (lower live class id first).
+    fn fill_class_column<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim, id: u32) {
+        debug_assert_eq!(self.s[id as usize], 0);
+        for i in 0..self.live_ids.len() {
+            let x = self.live_ids[i];
+            for &pa in dim.dirs() {
+                self.effmask[Self::mask_at(x, pa, id)] =
+                    self.effective_ports(protocol, dim, x, pa, id);
+            }
+        }
+        self.filled |= 1 << id;
+        let mut columns = self.filled;
+        while columns != 0 {
+            let c = columns.trailing_zeros();
+            columns &= columns - 1;
+            self.epc[id as usize * CLASS_CAP + c as usize] = self.port_pair_count(dim, id, c);
+            self.epc[c as usize * CLASS_CAP + id as usize] = self.port_pair_count(dim, c, id);
+        }
+    }
+
+    /// `Σ_pa popcount(effmask[ca][pa][cb])`, read from the filled column `cb`.
+    fn port_pair_count(&self, dim: Dim, ca: u32, cb: u32) -> u16 {
+        dim.dirs()
+            .iter()
+            .map(|&pa| self.effmask[Self::mask_at(ca, pa, cb)].count_ones() as u16)
+            .sum()
     }
 
     fn mask_at(ca: u32, pa: Dir, cb: u32) -> usize {
         (ca as usize * PORT_CAP + pa.index()) * CLASS_CAP + cb as usize
+    }
+
+    /// The `effmask` entry for `(ca, pa, cb)`, evaluated from the class states.
+    fn effective_ports<P: Protocol<State = S>>(
+        &self,
+        protocol: &P,
+        dim: Dim,
+        ca: u32,
+        pa: Dir,
+        cb: u32,
+    ) -> u8 {
+        let mut mask = 0u8;
+        for &pb in dim.dirs() {
+            if self.raw_cross_effective(protocol, ca, pa, cb, pb) {
+                mask |= 1 << pb.index();
+            }
+        }
+        mask
     }
 
     /// Uncached effectiveness of an unbonded cross pair between the two classes.
@@ -1105,6 +1162,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             });
             self.free_class_slots.push(id);
             sorted_remove(&mut self.live_ids, id);
+            self.filled &= !(1 << id);
             // Memo entries referencing a retired class id would alias its successor.
             self.memo.retain(|&key, _| {
                 (key >> 40) as u32 != id && ((key >> 8) & 0xFF_FFFF) as u32 != id
@@ -1162,9 +1220,18 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         sum
     }
 
-    fn register_singleton(&mut self, dim: Dim, class: u32, x: NodeId) {
+    fn register_singleton<P: Protocol<State = S>>(
+        &mut self,
+        protocol: &P,
+        dim: Dim,
+        class: u32,
+        x: NodeId,
+    ) {
         debug_assert!(!self.reg_singleton[x.index()]);
         self.log(|| IndexOp::RegSingleton { x, class });
+        if self.filled & (1 << class) == 0 {
+            self.fill_class_column(protocol, dim, class);
+        }
         // Deltas are computed against the *pre-registration* totals: the new singleton
         // pairs with every existing free port and singleton.
         self.class2_eff += self.singleton_class2_rate(dim, class);
@@ -1297,7 +1364,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                     self.drop_singleton_reg(dim, x);
                 }
                 IndexOp::DropSingleton { x, class } => {
-                    self.register_singleton(dim, class, x);
+                    self.register_singleton(protocol, dim, class, x);
                 }
                 IndexOp::RegFreePort { x, pa, class } => {
                     debug_assert_eq!(self.node_class[x.index()], class);
@@ -1333,6 +1400,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                     debug_assert_eq!(self.class(class).refs, 0);
                     let removed = sorted_remove(&mut self.live_ids, class);
                     debug_assert!(removed);
+                    self.filled &= !(1 << class);
                     if reused_slot {
                         self.classes[class as usize] = None;
                         self.free_class_slots.push(class);
@@ -1364,9 +1432,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                         refs: 1,
                     });
                     // A slot-reusing allocation after the release may have overwritten
-                    // this id's dense effectiveness rows; refill them against the
-                    // restored live set.
-                    self.fill_class_tables(protocol, dim, class);
+                    // this id's row; refill it against the filled columns. Its column
+                    // is refilled when an undone drop re-registers a singleton.
+                    self.fill_class_row(protocol, dim, class);
                 }
             }
         }
@@ -1714,7 +1782,13 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             }
         }
         for (i, &ca) in self.live_ids.iter().enumerate() {
+            if self.s[ca as usize] == 0 {
+                continue;
+            }
             for &cb in &self.live_ids[i..] {
+                if self.s[cb as usize] == 0 {
+                    continue;
+                }
                 for &pa in dim.dirs() {
                     let mask = self.effmask[Self::mask_at(ca, pa, cb)];
                     for &pb in dim.dirs() {
@@ -1764,9 +1838,18 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     /// Structural invariants of the sharded layout: every bucket satisfies the
     /// [`RankedSet`] block invariants (no empty block, no block of `2·B` entries or
     /// more, `len` equal to the summed block lengths, entries strictly increasing),
-    /// every entry is owned by its shard, and the aggregate totals equal recounted
-    /// bucket sums. Used by the validation suite.
-    pub(crate) fn check_sharding(&self) -> Result<(), String> {
+    /// every entry is owned by its shard, the aggregate totals equal recounted bucket
+    /// sums, and the dense tables hold their column invariant: every live class with a
+    /// free singleton is column-filled, only live classes are, and every filled
+    /// `effmask`/`epc` entry equals a fresh evaluation of the class states — so a stale
+    /// column left by slot reuse fails here even when no draw happens to read it. Used
+    /// by the validation suite.
+    pub(crate) fn check_sharding<P: Protocol<State = S>>(
+        &self,
+        protocol: &P,
+        dim: Dim,
+    ) -> Result<(), String> {
+        self.check_tables(protocol, dim)?;
         for (i, shard) in self.shards.iter().enumerate() {
             for list in [&shard.intra, &shard.intra_eff] {
                 list.check()
@@ -1805,6 +1888,58 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let intra_eff: u64 = self.shards.iter().map(|sh| sh.intra_eff.len() as u64).sum();
         if intra != self.intra_total || intra_eff != self.intra_eff_total {
             return Err("intra totals out of sync".to_string());
+        }
+        Ok(())
+    }
+
+    /// The column invariant of the dense tables (see [`PairIndex::check_sharding`]).
+    fn check_tables<P: Protocol<State = S>>(&self, protocol: &P, dim: Dim) -> Result<(), String> {
+        let live = self.live_ids.iter().fold(0u64, |bits, &c| bits | 1 << c);
+        if self.filled & !live != 0 {
+            return Err(format!(
+                "column-filled classes {:#x} are not all live",
+                self.filled & !live
+            ));
+        }
+        let filled: Vec<u32> = self
+            .live_ids
+            .iter()
+            .copied()
+            .filter(|&c| self.filled & (1 << c) != 0)
+            .collect();
+        for &c in &self.live_ids {
+            if self.s[c as usize] > 0 && self.filled & (1 << c) == 0 {
+                return Err(format!(
+                    "class {c} holds singletons but its column is unfilled"
+                ));
+            }
+        }
+        for &c in &filled {
+            for &x in &self.live_ids {
+                for &pa in dim.dirs() {
+                    let stored = self.effmask[Self::mask_at(x, pa, c)];
+                    let fresh = self.effective_ports(protocol, dim, x, pa, c);
+                    if stored != fresh {
+                        return Err(format!(
+                            "effmask[{x}][{pa:?}][{c}] is {stored:#b}, the class states give {fresh:#b}"
+                        ));
+                    }
+                }
+            }
+            for &d in &filled {
+                let stored = self.epc[c as usize * CLASS_CAP + d as usize];
+                let mut fresh = 0u16;
+                for &pa in dim.dirs() {
+                    for &pb in dim.dirs() {
+                        fresh += u16::from(self.raw_cross_effective(protocol, c, pa, d, pb));
+                    }
+                }
+                if stored != fresh {
+                    return Err(format!(
+                        "epc[{c}][{d}] is {stored}, the class states give {fresh}"
+                    ));
+                }
+            }
         }
         Ok(())
     }

@@ -1954,7 +1954,7 @@ impl<P: Protocol> World<P> {
         }
         {
             let cell = self.lock_pairs();
-            cell.index.check_sharding()?;
+            cell.index.check_sharding(&self.protocol, self.dim)?;
         }
         let mm = self
             .enumerate_cross_multi(u64::MAX)
