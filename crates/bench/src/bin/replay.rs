@@ -14,6 +14,10 @@
 //! cargo run -p nc-bench --release --bin replay -- --write-fixture  # regenerate it
 //! ```
 //!
+//! `--help` prints the usage and exits 0. An unknown flag, a missing, malformed or
+//! zero value, or a conflicting combination prints the usage on stderr and exits 2
+//! before anything is read or written; a replay that diverges exits 1.
+//!
 //! Long replays are silent until the verdict by default. `--progress N` prints a
 //! stderr heartbeat every `N` lockstep steps — lockstep position, lifetime step
 //! count and the statistics deltas since the previous heartbeat — without touching
@@ -230,48 +234,96 @@ fn replay_by_name(snapshot: &Snapshot, steps: u64, progress: u64) -> Result<(), 
     }
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "\
+usage: replay SNAPSHOT [--steps N] [--progress N]
+       replay --smoke [--steps N] [--progress N]
+       replay --write-fixture [PATH]
+
+  SNAPSHOT         snapshot file to replay against a fresh reference run
+  --smoke          replay the committed fixture (tests/fixtures/square_25steps.ncss)
+  --write-fixture  regenerate the fixture (at PATH when given)
+  --steps N        lockstep steps after the snapshot point, positive (default 200)
+  --progress N     stderr heartbeat every N lockstep steps, positive (default off)
+  --help, -h       print this message and exit";
+
+/// What the command line asks for: the usage text, or a run.
+enum Command {
+    Help,
+    Run(Mode),
+}
+
+/// The two things a run can do.
+enum Mode {
+    WriteFixture(std::path::PathBuf),
+    Replay {
+        path: std::path::PathBuf,
+        steps: u64,
+        progress: u64,
+    },
+}
+
+/// Parses the arguments after the program name. Every unknown flag, missing,
+/// malformed or zero value, extra file or conflicting mode is an error, so a typo
+/// never replays or overwrites the wrong thing.
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut file: Option<std::path::PathBuf> = None;
     let mut steps = 200u64;
     let mut progress = 0u64;
     let mut smoke = false;
     let mut write = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut positive = |flag: &str| -> Result<u64, String> {
+            let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            match raw.parse() {
+                Ok(v) if v > 0 => Ok(v),
+                _ => Err(format!("{flag}: `{raw}` is not a positive integer")),
+            }
+        };
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
             "--smoke" => smoke = true,
             "--write-fixture" => write = true,
-            "--steps" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--steps needs a value")?;
-                steps = raw
-                    .parse()
-                    .map_err(|_| format!("--steps: not a number: {raw:?}"))?;
+            "--steps" => steps = positive("--steps")?,
+            "--progress" => progress = positive("--progress")?,
+            other if other.starts_with('-') => {
+                return Err(format!("unknown argument `{other}`"));
             }
-            "--progress" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--progress needs a step interval")?;
-                progress = raw
-                    .parse()
-                    .map_err(|_| format!("--progress: not a number: {raw:?}"))?;
+            other => {
+                if file.replace(other.into()).is_some() {
+                    return Err("more than one snapshot file".into());
+                }
             }
-            other if !other.starts_with('-') => file = Some(other.into()),
-            other => return Err(format!("unknown flag {other:?}")),
         }
-        i += 1;
     }
-    if write {
-        return write_fixture(&file.unwrap_or_else(fixture_path));
+    match (write, smoke, file) {
+        (true, false, path) => Ok(Command::Run(Mode::WriteFixture(
+            path.unwrap_or_else(fixture_path),
+        ))),
+        (true, true, _) => Err("--write-fixture and --smoke exclude each other".into()),
+        (false, true, Some(_)) => Err("--smoke takes no snapshot file".into()),
+        (false, true, None) => Ok(Command::Run(Mode::Replay {
+            path: fixture_path(),
+            steps,
+            progress,
+        })),
+        (false, false, Some(path)) => Ok(Command::Run(Mode::Replay {
+            path,
+            steps,
+            progress,
+        })),
+        (false, false, None) => Err("no snapshot file (or --smoke)".into()),
     }
-    let path = match (smoke, file) {
-        (true, None) => fixture_path(),
-        (false, Some(path)) => path,
-        (true, Some(_)) => return Err("--smoke takes no snapshot file".into()),
-        (false, None) => return Err(
-            "usage: replay <snapshot-file> [--steps N] [--progress N] | replay --smoke | replay --write-fixture"
-                .into(),
-        ),
+}
+
+fn run(mode: Mode) -> Result<(), String> {
+    let (path, steps, progress) = match mode {
+        Mode::WriteFixture(path) => return write_fixture(&path),
+        Mode::Replay {
+            path,
+            steps,
+            progress,
+        } => (path, steps, progress),
     };
     let bytes = std::fs::read(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let snapshot = Snapshot::from_bytes(bytes)
@@ -280,7 +332,19 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = match parse_args(&args) {
+        Ok(Command::Run(mode)) => mode,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("replay: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(mode) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("replay: {message}");

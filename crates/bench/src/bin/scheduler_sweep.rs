@@ -1,10 +1,8 @@
 //! The scheduler n-sweep: `GlobalLine`, `Square` and `CountingOnALine` run to
 //! completion under the legacy rejection sampler, the adaptive indexed sampler, the
-//! batched geometric-jump sampler, the sharded composed-jump sampler at 1, 2 and 4
-//! shards, and the speculative engine (optimistic epochs with delta-log rollback) at
-//! 2 and 4 shards, on the same seed, for n = 64 … 1024. Emits `BENCH_scheduler.json`
-//! (steps/sec, speedup and per-row speculation rollback rates per size), the perf
-//! baseline that later PRs compare against.
+//! batched geometric-jump sampler and the sharded composed-jump sampler at 1, 2 and
+//! 4 shards, on the same seed, for n = 64 … 1024. Emits `BENCH_scheduler.json`
+//! (steps/sec and speedup per size).
 //!
 //! "Steps" follow the paper's convention — every scheduler selection counts, and the
 //! batched/sharded samplers' bulk-credited ineffective selections are included (they
@@ -22,7 +20,7 @@
 //! ```
 //!
 //! `--profile` attaches a telemetry handle to every benchmarked run and emits the
-//! per-phase wall-clock breakdown (sample/resolve/apply/flush/rollback, plus the
+//! per-phase wall-clock breakdown (sample/apply/flush/rollback, plus the
 //! delta-log record counter) both on stderr and as extra row columns
 //! (`nc_bench::sweep::SweepProfile`). The smoke gates always run unprofiled — the
 //! throughput comparisons stay free of instrumentation overhead.
@@ -36,9 +34,8 @@
 //! n = 256 — including the three adversaries at n = 64, which must also be
 //! bit-deterministic across two runs — (b) batched achieves at least the indexed
 //! steps/sec at n = 256, (c) the
-//! sharded *and speculative* rows report step counts identical to each other across
-//! shard counts and window sizes (speculation must be invisible in the trajectory),
-//! and (d) on Square n = 512 the sharded sampler at 4 shards achieves at least the
+//! sharded rows report step counts identical to each other across shard counts, and
+//! (d) on Square n = 512 the sharded sampler at 4 shards achieves at least the
 //! batched steps/sec (best of three runs each, since both finish in milliseconds
 //! there) — the sharded aggregate-count hot path regressing below the batched recount
 //! path fails the build.
@@ -99,64 +96,44 @@ impl Proto {
     }
 }
 
-/// One benchmarked execution: a sampling mode plus (for sharded/speculative rows) the
-/// shard count and speculation window.
+/// One benchmarked execution: a sampling mode plus (for sharded rows) the shard count.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ModeSpec {
     mode: SamplingMode,
     shards: usize,
-    speculation: usize,
     label: &'static str,
 }
 
-const MODES: [ModeSpec; 8] = [
+const MODES: [ModeSpec; 6] = [
     ModeSpec {
         mode: SamplingMode::Legacy,
         shards: 1,
-        speculation: 0,
         label: "legacy",
     },
     ModeSpec {
         mode: SamplingMode::Adaptive,
         shards: 1,
-        speculation: 0,
         label: "indexed",
     },
     ModeSpec {
         mode: SamplingMode::Batched,
         shards: 1,
-        speculation: 0,
         label: "batched",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
         shards: 1,
-        speculation: 0,
         label: "sharded1",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
         shards: 2,
-        speculation: 0,
         label: "sharded2",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
         shards: 4,
-        speculation: 0,
         label: "sharded4",
-    },
-    ModeSpec {
-        mode: SamplingMode::Speculative,
-        shards: 2,
-        speculation: 8,
-        label: "speculative2",
-    },
-    ModeSpec {
-        mode: SamplingMode::Speculative,
-        shards: 4,
-        speculation: 8,
-        label: "speculative4",
     },
 ];
 
@@ -189,8 +166,7 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
         .with_seed(seed)
         .with_max_steps(2_000_000_000)
         .with_sampling(spec.mode)
-        .with_shards(spec.shards)
-        .with_speculation(spec.speculation);
+        .with_shards(spec.shards);
     let obs = if profile {
         Telemetry::enabled()
     } else {
@@ -257,7 +233,6 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
     // The run's wall-clock is measured before the snapshot probe but the probe runs
     // inside the `match`, so subtract it from the elapsed time.
     let seconds = started.elapsed().as_secs_f64() - (timings.0 + timings.1) / 1e3;
-    let speculation = report.speculation;
     Row {
         protocol: proto.name().to_string(),
         n,
@@ -270,10 +245,6 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
         skipped_steps: stats.skipped_steps,
         steps_per_sec: report.steps as f64 / seconds.max(1e-9),
         completed,
-        speculated: speculation.speculated,
-        spec_committed: speculation.committed,
-        spec_rolled_back: speculation.rolled_back,
-        spec_rollback_rate: speculation.rollback_rate(),
         snapshot_ms: timings.0,
         resume_ms: timings.1,
         profile: profile.then(|| SweepProfile::from_run(&report.phases, delta_records)),
@@ -351,10 +322,6 @@ fn run_adversary(proto: Proto, n: usize, adversary: &'static str) -> Row {
         skipped_steps: stats.skipped_steps,
         steps_per_sec: report.steps as f64 / seconds.max(1e-9),
         completed,
-        speculated: 0,
-        spec_committed: 0,
-        spec_rolled_back: 0,
-        spec_rollback_rate: 0.0,
         snapshot_ms: 0.0,
         resume_ms: 0.0,
         profile: None,
@@ -436,29 +403,17 @@ fn smoke(protos: &[Proto], seed: u64) {
         }
         let sharded: Vec<&Row> = per_mode
             .iter()
-            .filter(|r| r.mode.starts_with("sharded") || r.mode.starts_with("speculative"))
+            .filter(|r| r.mode.starts_with("sharded"))
             .collect();
         if sharded
             .iter()
             .any(|r| (r.steps, r.effective_steps) != (sharded[0].steps, sharded[0].effective_steps))
         {
             failures.push(format!(
-                "{}: sharded/speculative step counts differ across shard counts and windows \
-                 (parallel-equivalence or speculation invariance broken)",
+                "{}: sharded step counts differ across shard counts \
+                 (parallel equivalence broken)",
                 proto.name()
             ));
-        }
-        for row in per_mode
-            .iter()
-            .filter(|r| r.mode.starts_with("speculative"))
-        {
-            if row.speculated == 0 {
-                failures.push(format!(
-                    "{} {}: the speculative row never speculated",
-                    proto.name(),
-                    row.mode
-                ));
-            }
         }
     }
     // Adversarial-but-fair schedulers: every protocol must still reach its guaranteed
@@ -513,8 +468,8 @@ fn smoke(protos: &[Proto], seed: u64) {
     }
     assert!(failures.is_empty(), "smoke failures: {failures:?}");
     eprintln!(
-        "smoke ok: batched ≥ indexed at n = {n}, sharded/speculative step counts invariant \
-         across layouts and windows, sharded@4 ≥ batched on square n = 512, all modes \
+        "smoke ok: batched ≥ indexed at n = {n}, sharded step counts invariant \
+         across shard counts, sharded@4 ≥ batched on square n = 512, all modes \
          completed, adversarial schedulers deterministic and fair at n = {adv_n}"
     );
 }
@@ -660,11 +615,10 @@ fn main() {
                 );
                 if let Some(p) = &row.profile {
                     eprintln!(
-                        "{:>18}  {n:>6}  {} phases: sample {:.1}ms, resolve {:.1}ms, apply {:.1}ms, flush {:.1}ms, rollback {:.1}ms, {} delta records",
+                        "{:>18}  {n:>6}  {} phases: sample {:.1}ms, apply {:.1}ms, flush {:.1}ms, rollback {:.1}ms, {} delta records",
                         proto.name(),
                         row.mode,
                         p.sample_ms,
-                        p.resolve_ms,
                         p.apply_ms,
                         p.flush_ms,
                         p.rollback_ms,
@@ -679,17 +633,6 @@ fn main() {
                         "{:>18}  {n:>6}  speedup (indexed/batched): {:.2}x",
                         proto.name(),
                         indexed_secs / row.seconds.max(1e-9)
-                    );
-                }
-                if mode.mode == SamplingMode::Speculative {
-                    eprintln!(
-                        "{:>18}  {n:>6}  {} speculation: {} speculated, {} committed, {} rolled back ({:.1}% rollback)",
-                        proto.name(),
-                        row.mode,
-                        row.speculated,
-                        row.spec_committed,
-                        row.spec_rolled_back,
-                        row.spec_rollback_rate * 100.0
                     );
                 }
                 rows.push(row);
@@ -717,20 +660,16 @@ fn main() {
                     rows.push(row);
                 }
             }
-            // Parallel-equivalence check rides along with every sweep: the sharded and
-            // speculative rows of this cell must agree on step counts (shard count and
-            // speculation window are layout/overlap knobs, never semantic ones).
+            // Parallel-equivalence check rides along with every sweep: the sharded rows
+            // of this cell must agree on step counts (shard count is a layout knob,
+            // never a semantic one).
             let cell: Vec<&Row> = rows
                 .iter()
-                .filter(|r| {
-                    r.protocol == proto.name()
-                        && r.n == n
-                        && (r.mode.starts_with("sharded") || r.mode.starts_with("speculative"))
-                })
+                .filter(|r| r.protocol == proto.name() && r.n == n && r.mode.starts_with("sharded"))
                 .collect();
             assert!(
                 cell.iter().all(|r| r.steps == cell[0].steps),
-                "{} n={n}: sharded/speculative step counts differ across layouts",
+                "{} n={n}: sharded step counts differ across shard counts",
                 proto.name()
             );
         }
@@ -738,7 +677,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include batched/sharded bulk credits; sharded rows at 1/2/4 shards and speculative rows (k=8) at 2/4 shards report identical steps (parallel equivalence + speculation invariance); spec_* columns count optimistic interactions and the Time-Warp rollback rate; snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), square swept to 512\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include batched/sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (parallel equivalence); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), square swept to 512\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write bench artifact");

@@ -119,11 +119,10 @@ pub fn all(quick: bool) -> Vec<Experiment> {
     ]
 }
 
-/// Looks up an experiment by its identifier (case-insensitive).
+/// The runner of an experiment identifier (case-insensitive), without running it.
 #[must_use]
-pub fn by_id(id: &str, quick: bool) -> Option<Experiment> {
-    let id = id.to_ascii_lowercase();
-    let run: Option<fn(bool) -> Experiment> = match id.as_str() {
+pub fn lookup(id: &str) -> Option<fn(bool) -> Experiment> {
+    match id.to_ascii_lowercase().as_str() {
         "e1" => Some(counting::e1),
         "e2" => Some(counting::e2),
         "e3" => Some(walk::e3),
@@ -138,8 +137,13 @@ pub fn by_id(id: &str, quick: bool) -> Option<Experiment> {
         "e12" => Some(conjecture::e12),
         "e13" => Some(pattern::e13),
         _ => None,
-    };
-    run.map(|f| f(quick))
+    }
+}
+
+/// Looks up an experiment by its identifier (case-insensitive) and runs it.
+#[must_use]
+pub fn by_id(id: &str, quick: bool) -> Option<Experiment> {
+    lookup(id).map(|run| run(quick))
 }
 
 #[cfg(test)]

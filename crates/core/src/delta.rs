@@ -22,16 +22,15 @@
 //! index to the exact sub-index layouts and aggregate counts of the checkpoint.
 //!
 //! Two things are intentionally **not** rolled back: monotone work counters
-//! ([`crate::IndexStats`] — they report lifetime work, and the speculative applies
+//! ([`crate::IndexStats`] — they report lifetime work, and the rolled-back applies
 //! genuinely happened), and the configuration *version*, which is bumped once per
 //! rollback instead of rewound — versions must stay monotone so that version-keyed
 //! caches (sampler batches, enumeration caches) re-derive from the restored state
 //! rather than replaying a stale structure whose version collides.
 //!
 //! Checkpoints nest: frames form a stack, and rolling back to an outer epoch
-//! discards the inner ones. This is what lets the delta-log exactness suite wrap a
-//! checkpoint around every apply of a long run while the speculative scheduler keeps
-//! its own epoch open.
+//! discards the inner ones (pinned by `tests/delta_log.rs`, which also wraps a
+//! checkpoint around every apply of long merge/split and class-churn runs).
 
 use crate::world::PairMode;
 use crate::{Component, CoreError, Interaction, NodeId, Placement};
@@ -100,7 +99,7 @@ pub(crate) struct DeltaLog<S> {
     next_id: u64,
     /// Lifetime number of records ever appended — a monotone *work* counter in the
     /// [`crate::IndexStats`] spirit, never rewound by rollbacks. Rollback churn
-    /// (speculation that keeps re-logging the same slots) is invisible in the
+    /// (an explorer that keeps re-logging the same slots) is invisible in the
     /// committed trajectory; this is its observable.
     appended: u64,
 }

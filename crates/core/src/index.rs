@@ -644,24 +644,6 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.oplog.clear();
     }
 
-    /// Number of live state classes.
-    pub(crate) fn live_class_count(&self) -> usize {
-        self.live_ids.len()
-    }
-
-    /// The shard whose effective-intra list holds global rank `idx` of the canonical
-    /// effective walk, or `None` when `idx` falls past the intra segment (a class-cell
-    /// pair, resolved from the shared aggregate instead of any one shard).
-    pub(crate) fn intra_eff_shard_of(&self, mut idx: u64) -> Option<usize> {
-        for (s, shard) in self.shards.iter().enumerate() {
-            if (idx as usize) < shard.intra_eff.len() {
-                return Some(s);
-            }
-            idx -= shard.intra_eff.len() as u64;
-        }
-        None
-    }
-
     /// Builds the index from scratch for the current configuration.
     pub(crate) fn build<P: Protocol<State = S>>(
         &mut self,

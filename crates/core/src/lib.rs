@@ -80,7 +80,7 @@ pub use protocol::{Protocol, Transition};
 pub use scheduler::SamplingMode;
 pub use simulation::{RunReport, Simulation, SimulationConfig, StopReason};
 pub use snapshot::{Snapshot, SnapshotProtocol, SnapshotReader, SnapshotWriter};
-pub use stats::{ExecutionStats, ShardStats, SpeculationStats};
+pub use stats::{ExecutionStats, ShardStats};
 pub use world::{Interaction, InteractionOutcome, Permissibility, World};
 
 /// Re-exported telemetry types (see `nc_obs`): downstream crates attach a

@@ -86,37 +86,16 @@
 //! keying, and not a per-shard-id one, is what makes executions byte-identical across
 //! 1/2/4 shards).
 //!
-//! # Speculative execution: optimistic epochs and the serialization point
+//! # Snapshot tags
 //!
-//! [`SamplingMode::Speculative`] keeps the sharded sampler as the *authoritative*
-//! serialization: every interaction the scheduler returns still comes from the
-//! canonical sharded draw, so the executed trajectory is byte-identical to
-//! [`SamplingMode::Sharded`] by construction. What speculation adds is a prediction
-//! pipeline running *ahead* of that serialization point. While the window is empty,
-//! an epoch ([`Scheduler::prepare`]) predicts the next `k` selections from the frozen
-//! counts — each ordinal's substream is deterministic, so these are exactly the draws
-//! the canonical sampler will make as long as the counts stay unchanged — resolves
-//! the drawn effective indices to concrete pairs in parallel (one task per owning
-//! shard on the vendored `rayon` stand-in), and optimistically applies them on a
-//! scratch timeline opened with [`crate::World::checkpoint`] and unwound with
-//! [`crate::World::rollback`]: the delta log restores node states, bonds, components,
-//! the pair-index aggregate and the per-shard sub-index layouts exactly. As the
-//! canonical sampler then serializes selection after selection, each is *reconciled*
-//! against the window front: a match confirms the speculated interaction
-//! (`committed` in [`crate::SpeculationStats`]); a divergence — a merge, split, or
-//! class-count delta in the committed prefix changed another shard's jump
-//! distribution or a selection ordinal — discards the remainder of the window
-//! (`rolled_back`, with the cause classified per conflict). Because the canonical
-//! path never consumes speculative state, correctness is independent of the window
-//! size, the conflict rate, and the shard count; speculation only changes how much
-//! resolution work has already happened (in parallel) by the time a selection is
-//! serialized.
+//! Each mode has a stable one-byte tag in the snapshot format
+//! (`SamplingMode::snapshot_tag`). Tag 4 named a retired speculative mode and is never
+//! reused: a snapshot carrying it decodes to a typed
+//! [`crate::CoreError::SnapshotCorrupt`].
 
-use crate::stats::SpeculationStats;
 use crate::{Interaction, Protocol, World};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
-use std::collections::VecDeque;
 
 /// How the uniform scheduler realises the uniform distribution over permissible pairs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -143,26 +122,18 @@ pub enum SamplingMode {
     /// per-selection RNG substreams keep the execution byte-identical across shard
     /// counts. Same fallbacks as [`SamplingMode::Batched`].
     Sharded,
-    /// The sharded sampler plus optimistic multi-core epochs: between selections,
-    /// each epoch predicts the next `k` draws from the frozen per-shard counts,
-    /// resolves them in parallel, applies them on a delta-logged scratch timeline,
-    /// and rolls back to the serialization point; the canonical sharded draw then
-    /// confirms or discards each prediction (see the module docs). Byte-identical
-    /// executions to [`SamplingMode::Sharded`]; reverts to plain sharded behaviour
-    /// when the speculation window is 0 or the world has a single shard.
-    Speculative,
 }
 
 impl SamplingMode {
     /// Stable one-byte tag of this mode in the snapshot format (independent of the
-    /// enum's declaration order, which is not a serialization contract).
+    /// enum's declaration order, which is not a serialization contract). Tag 4 is
+    /// retired (see the module docs) and never reused.
     pub(crate) fn snapshot_tag(self) -> u8 {
         match self {
             SamplingMode::Adaptive => 0,
             SamplingMode::Legacy => 1,
             SamplingMode::Batched => 2,
             SamplingMode::Sharded => 3,
-            SamplingMode::Speculative => 4,
         }
     }
 
@@ -173,7 +144,6 @@ impl SamplingMode {
             1 => SamplingMode::Legacy,
             2 => SamplingMode::Batched,
             3 => SamplingMode::Sharded,
-            4 => SamplingMode::Speculative,
             _ => return None,
         })
     }
@@ -209,58 +179,11 @@ pub trait Scheduler {
         0
     }
 
-    /// Gives the scheduler mutable access to the world *between* selections, before
-    /// the next `next_interaction*` call. The speculative scheduler uses this hook to
-    /// run an optimistic epoch (predict, resolve in parallel, apply on a scratch
-    /// timeline, roll back — see the module docs); every other scheduler ignores it.
-    /// The hook must leave the configuration exactly as it found it.
+    /// Retired hook, kept until perfbench's next change (the benchmark times it);
+    /// no scheduler overrides this no-op any more.
     fn prepare<P: Protocol>(&mut self, world: &mut World<P>) {
         let _ = world;
     }
-
-    /// Cumulative speculation counters of this scheduler (all zero for schedulers
-    /// without speculative execution).
-    fn speculation_stats(&self) -> SpeculationStats {
-        SpeculationStats::default()
-    }
-}
-
-/// Outcome flags of one speculated interaction, used to classify a later conflict:
-/// what about the committed prefix could have shifted another shard's jump
-/// distribution or selection ordinal.
-#[derive(Clone, Copy, Debug, Default)]
-struct SpecFlags {
-    /// The interaction merged two components.
-    merged: bool,
-    /// The interaction split a component.
-    split: bool,
-    /// The participants were owned by different shards.
-    cross_shard: bool,
-}
-
-impl SpecFlags {
-    fn absorb(&mut self, other: SpecFlags) {
-        self.merged |= other.merged;
-        self.split |= other.split;
-        self.cross_shard |= other.cross_shard;
-    }
-}
-
-/// One entry of the speculation window: a predicted selection awaiting confirmation
-/// by the canonical serialization.
-#[derive(Clone, Copy, Debug)]
-struct SpecEntry {
-    /// The selection ordinal this prediction was keyed by (the substream index).
-    ordinal: u64,
-    /// The predicted — and, if `applied`, optimistically executed — interaction.
-    interaction: Interaction,
-    /// Whether the interaction was applied on the scratch timeline.
-    applied: bool,
-    /// Whether the prediction was already ineffective on the speculated timeline
-    /// (the epoch stops applying at the first such entry).
-    stale: bool,
-    /// Outcome flags of the optimistic apply.
-    flags: SpecFlags,
 }
 
 /// The uniform random scheduler of the paper. See the module docs for the two sampling
@@ -306,16 +229,6 @@ pub struct UniformScheduler {
     batch_mm: Vec<Interaction>,
     /// The effective subset of `batch_mm`.
     batch_mm_eff: Vec<Interaction>,
-    /// Speculation window size `k` (selections predicted per optimistic epoch);
-    /// 0 disables speculation entirely.
-    speculation: usize,
-    /// Predictions awaiting confirmation by the canonical serialization, in ordinal
-    /// order. Drained one entry per canonical selection; cleared on divergence.
-    spec_window: VecDeque<SpecEntry>,
-    /// Accumulated outcome flags of the committed prefix of the current window.
-    spec_prefix: SpecFlags,
-    /// Cumulative speculation counters.
-    spec_stats: SpeculationStats,
 }
 
 impl UniformScheduler {
@@ -360,27 +273,14 @@ impl UniformScheduler {
             batch_effective: 0,
             batch_mm: Vec::new(),
             batch_mm_eff: Vec::new(),
-            speculation: crate::shard::default_speculation_window(),
-            spec_window: VecDeque::new(),
-            spec_prefix: SpecFlags::default(),
-            spec_stats: SpeculationStats::default(),
         }
     }
 
-    /// Sets the speculation window (selections predicted per optimistic epoch),
-    /// clamped to [`crate::shard::MAX_SPECULATION_WINDOW`]. Only consulted in
-    /// [`SamplingMode::Speculative`]; `0` makes that mode behave exactly like
-    /// [`SamplingMode::Sharded`].
+    /// Retired; kept until perfbench's next change. Returns `self` unchanged.
     #[must_use]
-    pub fn with_speculation(mut self, k: usize) -> UniformScheduler {
-        self.speculation = crate::shard::clamp_speculation_window(k);
+    pub fn with_speculation(self, k: usize) -> UniformScheduler {
+        let _ = k;
         self
-    }
-
-    /// The speculation window this scheduler uses.
-    #[must_use]
-    pub fn speculation(&self) -> usize {
-        self.speculation
     }
 
     /// Creates a scheduler from ambient entropy (see [`crate::rng::from_entropy`]).
@@ -491,7 +391,7 @@ impl UniformScheduler {
         self.batch_fallback = false;
         self.batch_mm.clear();
         self.batch_mm_eff.clear();
-        let summary = if matches!(self.mode, SamplingMode::Sharded | SamplingMode::Speculative) {
+        let summary = if self.mode == SamplingMode::Sharded {
             world.pair_counts_sharded()
         } else {
             world.pair_counts()
@@ -632,11 +532,9 @@ impl UniformScheduler {
     /// Encodes the resumability-critical scheduler state: the RNG stream position,
     /// the sharded substream ordinal, the sticky adaptive/batched flags, whether the
     /// adaptive enumeration cache is warm for the *current* world version, and any
-    /// undrained bulk-credited skips. The cache contents, the per-version batch
-    /// counts and the speculation window are deliberately not persisted: the first
-    /// two are deterministically re-derived without consuming randomness, and
-    /// speculative applies are always rolled back before a serialization point, so
-    /// dropping the window discards prediction work, never trajectory state.
+    /// undrained bulk-credited skips. The cache contents and the per-version batch
+    /// counts are deliberately not persisted: both are deterministically re-derived
+    /// without consuming randomness.
     pub(crate) fn snapshot_encode<P: Protocol>(
         &self,
         world: &World<P>,
@@ -657,15 +555,14 @@ impl UniformScheduler {
     }
 
     /// Decodes the counterpart of [`UniformScheduler::snapshot_encode`], rebuilding a
-    /// scheduler that continues the interrupted RNG streams exactly. `seed`, `mode`
-    /// and `speculation` come from the snapshot's persisted configuration.
+    /// scheduler that continues the interrupted RNG streams exactly. `seed` and `mode`
+    /// come from the snapshot's persisted configuration.
     ///
     /// # Errors
     /// [`crate::CoreError::SnapshotTruncated`] or [`crate::CoreError::SnapshotCorrupt`].
     pub(crate) fn snapshot_decode<P: Protocol>(
         seed: u64,
         mode: SamplingMode,
-        speculation: usize,
         world: &World<P>,
         r: &mut crate::SnapshotReader<'_>,
     ) -> crate::Result<UniformScheduler> {
@@ -685,7 +582,7 @@ impl UniformScheduler {
         let batch_overflow = r.bool()?;
         let cache_warm = r.bool()?;
         let pending_skips = r.u64()?;
-        let mut scheduler = UniformScheduler::with_mode(seed, mode).with_speculation(speculation);
+        let mut scheduler = UniformScheduler::with_mode(seed, mode);
         scheduler.rng = StdRng::from_state(state);
         scheduler.sharded_draws = sharded_draws;
         scheduler.collapsed = collapsed;
@@ -714,227 +611,6 @@ impl UniformScheduler {
             }),
         }
     }
-
-    /// One optimistic epoch: predict the next `k` selections from the frozen counts,
-    /// resolve the drawn indices in parallel (one task per owning shard), apply the
-    /// predictions on a delta-logged scratch timeline, and roll back to the
-    /// serialization point, leaving the window for [`Self::reconcile`] to drain.
-    ///
-    /// The configuration is left exactly as found: the rollback restores the world,
-    /// the pair-index aggregate and the per-shard sub-index layouts byte for byte
-    /// (the delta-log exactness suite pins this down), which is what lets the
-    /// canonical sampler stay authoritative and byte-identical to sharded mode.
-    fn speculative_epoch<P: Protocol>(&mut self, world: &mut World<P>) {
-        let k = self.speculation;
-        debug_assert!(self.spec_window.is_empty(), "epoch over a live window");
-        if self.batch_overflow {
-            return;
-        }
-        let version = world.version();
-        if !self.batch_valid || self.batch_version != version {
-            self.refresh_batch(world, version);
-        }
-        // No speculation without exact frozen counts (overflow / budget fallback), on
-        // empty or stable configurations (the geometric needs p > 0), or without
-        // enough class-table headroom: every apply rewrites at most two states, so
-        // `2k` free slots guarantee no mid-epoch overflow — an overflow would rebuild
-        // the index and (through slot reuse) break the allocation-history-dependent
-        // class ids the rollback restores.
-        if self.batch_overflow
-            || self.batch_fallback
-            || self.batch_permissible == 0
-            || self.batch_effective == 0
-            || !world.class_headroom(2 * k)
-        {
-            return;
-        }
-        // Phase A — predict: replay the substreams the canonical sampler will use for
-        // the next `k` ordinals against the frozen counts. The geometric draw is
-        // consumed (to keep the stream position identical to the canonical draw) but
-        // its value is irrelevant here: jumps only credit step counters, which the
-        // canonical serialization accounts for.
-        let p = self.batch_effective as f64 / self.batch_permissible as f64;
-        let base = self.batch_effective - self.batch_mm_eff.len() as u64;
-        let shard_count = world.shard_count();
-        // One bucket per owning shard for materialised intra pairs, plus one for the
-        // class-counted region (bucket `shard_count`) and the direct mm hits.
-        let mut buckets: Vec<Vec<(usize, u64)>> = vec![Vec::new(); shard_count + 1];
-        let mut predictions: Vec<Option<Interaction>> = vec![None; k];
-        for (i, slot) in predictions.iter_mut().enumerate() {
-            let mut sub = crate::rng::substream(self.seed, self.sharded_draws + i as u64);
-            let _jump = crate::rng::geometric(&mut sub, p);
-            let idx = sub.gen_range(0..self.batch_effective);
-            if idx >= base {
-                *slot = Some(self.batch_mm_eff[(idx - base) as usize]);
-            } else {
-                let bucket = world.effective_owner_shard(idx).unwrap_or(shard_count);
-                buckets[bucket].push((i, idx));
-            }
-        }
-        // Phase A′ — resolve in parallel: walk each bucket's indices to concrete
-        // pairs in its own task (disjoint output slices, the crate's scope idiom).
-        let mut outs: Vec<Vec<(usize, Interaction)>> = buckets
-            .iter()
-            .map(|bucket| Vec::with_capacity(bucket.len()))
-            .collect();
-        {
-            let obs = world.telemetry().clone();
-            let mut timer = obs.phase(nc_obs::Phase::Resolve);
-            timer.add_units(buckets.iter().map(|b| b.len() as u64).sum());
-            let world_ref: &World<P> = world;
-            rayon::scope(|scope| {
-                for (bucket, out) in buckets.iter().zip(outs.iter_mut()) {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    scope.spawn(move |_| {
-                        out.extend(
-                            bucket
-                                .iter()
-                                .map(|&(pos, idx)| (pos, world_ref.sample_effective_base(idx))),
-                        );
-                    });
-                }
-            });
-        }
-        for (pos, interaction) in outs.into_iter().flatten() {
-            predictions[pos] = Some(interaction);
-        }
-        // Phase B — optimistic apply on a scratch timeline. Each prediction is
-        // re-checked for effectiveness on the *speculated* configuration (earlier
-        // window entries have already been applied to it); a prediction that went
-        // stale stops the epoch. The check does not re-verify the index mapping — a
-        // still-effective pair whose ordinal the canonical order reassigns is applied
-        // optimistically here and caught at reconciliation, the honest Time-Warp
-        // trade.
-        self.spec_prefix = SpecFlags::default();
-        let mark = world.checkpoint();
-        let mut halted = false;
-        for (i, prediction) in predictions.into_iter().enumerate() {
-            let predicted = prediction.expect("every prediction slot is resolved");
-            let ordinal = self.sharded_draws + i as u64;
-            if halted {
-                self.spec_window.push_back(SpecEntry {
-                    ordinal,
-                    interaction: predicted,
-                    applied: false,
-                    stale: false,
-                    flags: SpecFlags::default(),
-                });
-                continue;
-            }
-            match world.effective_interaction_at(
-                predicted.a,
-                predicted.pa,
-                predicted.b,
-                predicted.pb,
-            ) {
-                None => {
-                    halted = true;
-                    self.spec_window.push_back(SpecEntry {
-                        ordinal,
-                        interaction: predicted,
-                        applied: false,
-                        stale: true,
-                        flags: SpecFlags::default(),
-                    });
-                }
-                Some(fresh) => {
-                    let cross_shard = world.node_shard(fresh.a) != world.node_shard(fresh.b);
-                    let outcome = world.apply(&fresh);
-                    self.spec_stats.speculated += 1;
-                    self.spec_window.push_back(SpecEntry {
-                        ordinal,
-                        interaction: fresh,
-                        applied: true,
-                        stale: false,
-                        flags: SpecFlags {
-                            merged: outcome.merged,
-                            split: outcome.split,
-                            cross_shard,
-                        },
-                    });
-                }
-            }
-        }
-        // Phase C — back to the serialization point. The rollback fires every epoch,
-        // so byte-identity to sharded mode *depends* on its exactness: every
-        // speculative run doubles as an oracle for the delta log.
-        world
-            .rollback(mark)
-            .expect("the epoch opened by this function is still open");
-    }
-
-    /// One speculative selection: the canonical sharded draw stays authoritative
-    /// (byte-identity by construction); the speculation window opened by
-    /// [`Scheduler::prepare`] is reconciled against it afterwards.
-    fn next_speculative<P: Protocol>(
-        &mut self,
-        world: &World<P>,
-        max_steps: u64,
-    ) -> Option<Interaction> {
-        if self.speculation == 0 || world.shard_count() <= 1 {
-            // Satellite fallback: without a window or without parallelism to exploit,
-            // speculative mode *is* sharded mode (and keeps zero speculation stats).
-            return self.next_sharded(world, max_steps);
-        }
-        let canonical = self.next_sharded(world, max_steps);
-        self.reconcile(canonical.as_ref());
-        canonical
-    }
-
-    /// Reconciles the canonical selection against the speculation window front: a
-    /// match commits the speculated interaction, a divergence discards the remainder
-    /// of the window and classifies the conflict by what the committed prefix (or the
-    /// diverging entry itself) did — merge, split, or a bare class-count delta — plus
-    /// a cross-shard marker when shard-crossing interactions were involved.
-    fn reconcile(&mut self, canonical: Option<&Interaction>) {
-        if self.spec_window.is_empty() {
-            return;
-        }
-        let Some(canonical) = canonical else {
-            // Budget-exhausted (or permissible-empty) canonical selection: the
-            // ordinal was still consumed where a jump overshot the budget, so none of
-            // the window's predictions can be confirmed any more.
-            self.discard_window(0);
-            return;
-        };
-        let front = self.spec_window.pop_front().expect("window is not empty");
-        let matched = front.applied
-            && !front.stale
-            && front.interaction == *canonical
-            && front.ordinal + 1 == self.sharded_draws;
-        if matched {
-            self.spec_stats.committed += 1;
-            self.spec_prefix.absorb(front.flags);
-            return;
-        }
-        self.spec_stats.conflicts += 1;
-        if self.spec_prefix.merged || front.flags.merged {
-            self.spec_stats.conflict_merges += 1;
-        } else if self.spec_prefix.split || front.flags.split {
-            self.spec_stats.conflict_splits += 1;
-        } else {
-            self.spec_stats.conflict_class_deltas += 1;
-        }
-        if self.spec_prefix.cross_shard || front.flags.cross_shard {
-            self.spec_stats.conflict_cross_shard += 1;
-        }
-        self.discard_window(u64::from(front.applied));
-    }
-
-    /// Drops every remaining window entry, counting the applied ones (plus `extra`
-    /// already-popped applied entries) as rolled back.
-    fn discard_window(&mut self, extra: u64) {
-        let applied = self
-            .spec_window
-            .iter()
-            .filter(|entry| entry.applied)
-            .count() as u64;
-        self.spec_stats.rolled_back += applied + extra;
-        self.spec_window.clear();
-        self.spec_prefix = SpecFlags::default();
-    }
 }
 
 impl Scheduler for UniformScheduler {
@@ -955,27 +631,11 @@ impl Scheduler for UniformScheduler {
             SamplingMode::Adaptive => self.next_adaptive(world),
             SamplingMode::Batched => self.next_batched(world, max_steps),
             SamplingMode::Sharded => self.next_sharded(world, max_steps),
-            SamplingMode::Speculative => self.next_speculative(world, max_steps),
         }
     }
 
     fn drain_skipped_steps(&mut self) -> u64 {
         std::mem::take(&mut self.pending_skips)
-    }
-
-    fn prepare<P: Protocol>(&mut self, world: &mut World<P>) {
-        if self.mode == SamplingMode::Speculative
-            && self.speculation > 0
-            && world.shard_count() > 1
-            && self.spec_window.is_empty()
-            && world.len() >= 2
-        {
-            self.speculative_epoch(world);
-        }
-    }
-
-    fn speculation_stats(&self) -> SpeculationStats {
-        self.spec_stats
     }
 }
 

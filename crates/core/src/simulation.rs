@@ -2,8 +2,10 @@
 
 use crate::scheduler::{SamplingMode, Scheduler, UniformScheduler};
 use crate::shard::trace_lane;
-use crate::snapshot::{Snapshot, SnapshotProtocol, SnapshotWriter, FORMAT_VERSION, MAGIC};
-use crate::{CoreError, ExecutionStats, IndexStats, Protocol, ShardStats, SpeculationStats, World};
+use crate::snapshot::{
+    Snapshot, SnapshotProtocol, SnapshotWriter, FORMAT_VERSION, MAGIC, RESERVED_SLOT,
+};
+use crate::{CoreError, ExecutionStats, IndexStats, Protocol, ShardStats, World};
 use nc_geometry::Shape;
 use nc_obs::{Phase, PhaseProfile, Telemetry, TraceEventKind};
 
@@ -24,10 +26,8 @@ pub struct SimulationConfig {
     /// trajectory is byte-identical across shard counts. Defaults to the `NC_SHARDS`
     /// environment default.
     pub shards: usize,
-    /// Speculation window `k` of [`SamplingMode::Speculative`] (interactions executed
-    /// optimistically per epoch; clamped to the window ceiling at scheduler
-    /// construction; 0 disables speculation). Ignored by every other sampling mode.
-    /// Defaults to the `NC_SPECULATION` environment default.
+    /// Retired; kept until perfbench's next change. Always 0 from every constructor
+    /// and read by nothing (snapshots write a fixed reserved value in its place).
     pub speculation: usize,
 }
 
@@ -42,7 +42,7 @@ impl SimulationConfig {
             max_steps: 1_000_000_000,
             sampling: SamplingMode::default(),
             shards: crate::shard::default_shard_count(),
-            speculation: crate::shard::default_speculation_window(),
+            speculation: 0,
         }
     }
 
@@ -85,13 +85,6 @@ impl SimulationConfig {
         self.with_sampling(SamplingMode::Sharded)
     }
 
-    /// Shorthand for selecting the speculative sharded sampler (optimistic epochs
-    /// with delta-log rollback; byte-identical executions to sharded sampling).
-    #[must_use]
-    pub fn with_speculative_sampling(self) -> SimulationConfig {
-        self.with_sampling(SamplingMode::Speculative)
-    }
-
     /// Sets the shard count of the world's runtime structures.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> SimulationConfig {
@@ -99,11 +92,10 @@ impl SimulationConfig {
         self
     }
 
-    /// Sets the speculation window of [`SamplingMode::Speculative`] (clamped to
-    /// [`crate::shard::MAX_SPECULATION_WINDOW`] at scheduler construction).
+    /// Retired; kept until perfbench's next change. Returns `self` unchanged.
     #[must_use]
-    pub fn with_speculation(mut self, speculation: usize) -> SimulationConfig {
-        self.speculation = speculation;
+    pub fn with_speculation(self, speculation: usize) -> SimulationConfig {
+        let _ = speculation;
         self
     }
 }
@@ -140,10 +132,6 @@ pub struct RunReport {
     /// frontier performed and how often the candidate / quiescent memoisation answered
     /// queries outright.
     pub index: IndexStats,
-    /// Speculative-execution counters of the scheduler at the end of the run
-    /// (cumulative over the scheduler's lifetime; all zero outside
-    /// [`SamplingMode::Speculative`]).
-    pub speculation: SpeculationStats,
     /// Per-phase wall-clock profile accumulated over the simulation's lifetime.
     /// All zero unless telemetry was attached via [`Simulation::set_telemetry`],
     /// so report equality checks between instrumented and plain runs must
@@ -189,8 +177,7 @@ impl<P: Protocol> Simulation<P, UniformScheduler> {
     /// sampling mode recorded in the configuration.
     #[must_use]
     pub fn new(protocol: P, config: SimulationConfig) -> Simulation<P, UniformScheduler> {
-        let scheduler = UniformScheduler::with_mode(config.seed, config.sampling)
-            .with_speculation(config.speculation);
+        let scheduler = UniformScheduler::with_mode(config.seed, config.sampling);
         Simulation::with_scheduler(protocol, config, scheduler)
     }
 }
@@ -205,7 +192,7 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
     /// uninterrupted run's, in every sampling mode and at every shard count (pinned
     /// by the crash-injection suite in `tests/crash_resume.rs`).
     ///
-    /// Because work counters ([`IndexStats`], [`SpeculationStats`]) are excluded,
+    /// Because work counters ([`IndexStats`]) are excluded,
     /// byte equality of two snapshots is exactly "same execution state": the crash
     /// harness uses whole-snapshot comparison as its trajectory oracle.
     ///
@@ -223,7 +210,8 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
         out.u64(self.config.max_steps);
         out.u8(self.config.sampling.snapshot_tag());
         out.u64(self.config.shards as u64);
-        out.u64(self.config.speculation as u64);
+        // Reserved slot of a retired speculation window (see `crate::snapshot`).
+        out.u64(RESERVED_SLOT);
         out.u64(self.stats.steps);
         out.u64(self.stats.effective_steps);
         out.u64(self.stats.skipped_steps);
@@ -275,8 +263,11 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
         let sampling = SamplingMode::from_snapshot_tag(r.u8()?)
             .ok_or_else(|| corrupt("unknown sampling-mode tag"))?;
         let shards = usize::try_from(r.u64()?).map_err(|_| corrupt("shard count out of range"))?;
-        let speculation =
-            usize::try_from(r.u64()?).map_err(|_| corrupt("speculation window out of range"))?;
+        if r.u64()? != RESERVED_SLOT {
+            return Err(corrupt(
+                "reserved slot (retired speculation window) is not 8",
+            ));
+        }
         if shards == 0 {
             return Err(corrupt("shard count is zero"));
         }
@@ -290,8 +281,7 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
             splits: r.u64()?,
         };
         let world = World::snapshot_decode(protocol, n, shards, &mut r)?;
-        let scheduler =
-            UniformScheduler::snapshot_decode(seed, sampling, speculation, &world, &mut r)?;
+        let scheduler = UniformScheduler::snapshot_decode(seed, sampling, &world, &mut r)?;
         if r.remaining() != 0 {
             return Err(corrupt("trailing bytes after the snapshot body"));
         }
@@ -305,7 +295,7 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
                 max_steps,
                 sampling,
                 shards,
-                speculation,
+                speculation: 0,
             },
             obs: Telemetry::disabled(),
         })
@@ -384,10 +374,6 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// spend it on skipped ineffective selections instead).
     fn step_within(&mut self, max_steps: u64) -> StepOutcome {
         self.obs.set_step(self.stats.steps);
-        let spec_before = self.scheduler.speculation_stats();
-        // Between selections the speculative scheduler runs its optimistic epoch
-        // (and restores the configuration exactly); every other scheduler no-ops.
-        self.scheduler.prepare(&mut self.world);
         let mut sample = self.obs.phase(Phase::Sample);
         let picked = self
             .scheduler
@@ -395,24 +381,6 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
         let skipped = self.scheduler.drain_skipped_steps();
         sample.add_units(skipped + u64::from(picked.is_some()));
         drop(sample);
-        if self.obs.is_enabled() {
-            // The speculative epoch ran inside a muted delta scope; its commit /
-            // rollback totals are re-emitted here, on the serial path, as events
-            // stamped with the step that consumed the epoch's predictions.
-            let spec = self.scheduler.speculation_stats();
-            let committed = spec.committed - spec_before.committed;
-            if committed > 0 {
-                self.obs
-                    .trace(0, TraceEventKind::SpeculationCommit { count: committed });
-            }
-            let rolled_back = spec.rolled_back - spec_before.rolled_back;
-            if rolled_back > 0 {
-                self.obs.trace(
-                    0,
-                    TraceEventKind::SpeculationRollback { count: rolled_back },
-                );
-            }
-        }
         self.stats.steps += skipped;
         self.stats.skipped_steps += skipped;
         let Some(interaction) = picked else {
@@ -516,10 +484,9 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// This is the baseline the scheduler n-sweep benchmarks against.
     pub fn run_until_stable(&mut self) -> RunReport {
         match self.config.sampling {
-            SamplingMode::Adaptive
-            | SamplingMode::Batched
-            | SamplingMode::Sharded
-            | SamplingMode::Speculative => self.run_until_stable_indexed(),
+            SamplingMode::Adaptive | SamplingMode::Batched | SamplingMode::Sharded => {
+                self.run_until_stable_indexed()
+            }
             SamplingMode::Legacy => self.run_until_stable_legacy(),
         }
     }
@@ -618,14 +585,10 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
         self.world.output_shape()
     }
 
-    /// Per-shard load snapshot of the world with the scheduler's speculation
-    /// counters merged in (the world alone cannot see them — speculation lives in
-    /// the scheduler).
+    /// Per-shard load snapshot of the world.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
-        let mut stats = self.world.shard_stats();
-        stats.speculation = self.scheduler.speculation_stats();
-        stats
+        self.world.shard_stats()
     }
 
     fn report_since(
@@ -640,7 +603,6 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
             reason,
             stabilized: stabilized || reason == StopReason::Stable,
             index: self.world.index_stats(),
-            speculation: self.scheduler.speculation_stats(),
             phases: self.obs.phase_profile(),
         }
     }
@@ -822,13 +784,11 @@ mod tests {
             SamplingMode::Adaptive,
             SamplingMode::Batched,
             SamplingMode::Sharded,
-            SamplingMode::Speculative,
         ] {
             let config = SimulationConfig::new(6)
                 .with_seed(7)
                 .with_sampling(sampling)
-                .with_shards(2)
-                .with_speculation(4);
+                .with_shards(2);
             let mut reference = Simulation::new(ChainOf { target: 6 }, config);
             for _ in 0..10 {
                 reference.step();
@@ -931,8 +891,7 @@ mod tests {
         let config = SimulationConfig::new(8)
             .with_seed(42)
             .with_sampling(sampling)
-            .with_shards(shards)
-            .with_speculation(4);
+            .with_shards(shards);
         let mut sim = Simulation::new(ChainOf { target: 8 }, config);
         sim.set_telemetry(Telemetry::enabled());
         sim.run_until_stable();
@@ -950,30 +909,11 @@ mod tests {
                 "trace diverged across shard counts ({sampling:?})"
             );
         }
-        // Speculation is an execution-layout artifact (it degrades to sharded
-        // sampling at one shard), so its commit/rollback events legitimately
-        // differ across shard counts — but the trajectory-level events must
-        // still agree exactly once those are filtered out.
-        let committed_only = |events: Vec<nc_obs::TraceEvent>| {
-            events
-                .into_iter()
-                .filter(|e| {
-                    !matches!(
-                        e.kind,
-                        TraceEventKind::SpeculationCommit { .. }
-                            | TraceEventKind::SpeculationRollback { .. }
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let one = committed_only(traced_run(1, SamplingMode::Speculative));
-        let four = committed_only(traced_run(4, SamplingMode::Speculative));
-        assert_eq!(one, four, "committed trace diverged under speculation");
     }
 
     #[test]
     fn telemetry_does_not_perturb_the_trajectory() {
-        let config = SimulationConfig::new(6).with_seed(7).with_speculation(4);
+        let config = SimulationConfig::new(6).with_seed(7);
         let mut plain = Simulation::new(ChainOf { target: 6 }, config);
         let mut traced = Simulation::new(ChainOf { target: 6 }, config);
         traced.set_telemetry(Telemetry::enabled());

@@ -11,7 +11,7 @@
 //! magic   b"NCSS"                              4 bytes
 //! version u16                                  format version (currently 1)
 //! name    u16 length + UTF-8 bytes             protocol name (replay dispatch)
-//! config  n, seed, max_steps, sampling, shards, speculation
+//! config  n, seed, max_steps, sampling, shards, reserved (u64, always 8)
 //! stats   the 7 ExecutionStats counters
 //! sched   RNG state, substream ordinal, adaptive/batched flags, pending skips
 //! world   states, placements, comp_of, links, component slots, pinned class table
@@ -21,6 +21,14 @@
 //! All integers are little-endian fixed width. Every enum is written as a validated
 //! tag; decoding arbitrary bytes can fail with a typed [`CoreError`] but never panic
 //! (bit-flip and truncation fuzzing in `tests/crash_resume.rs` pins this).
+//!
+//! Two config fields are retired. The `reserved` slot after `shards` held the window
+//! of a removed speculative sampling mode. It is always written as
+//! `RESERVED_SLOT` = 8, the window every default-configured run used to write, so
+//! format v1, the committed fixture and the checkpoint bytes of default runs are
+//! unchanged; any other value decodes to [`CoreError::SnapshotCorrupt`]. Sampling
+//! tag 4 named that mode and is never reused: it decodes to
+//! [`CoreError::SnapshotCorrupt`] like any unknown tag.
 //!
 //! # Exactness: what is persisted and what is recomputed
 //!
@@ -49,11 +57,9 @@
 //! Everything else is genuinely derived state and is rebuilt conservatively:
 //! `halted` flags (a pure function of states), the dirty frontier (fresh all-dirty —
 //! the uniform samplers never read `find_effective_interaction`, and `is_stable` is
-//! a state-determined boolean), per-version count caches (recomputed without
-//! consuming randomness), and the speculation window (speculative applies are always
-//! rolled back before the serialization point, so dropping the window only discards
-//! prediction work, never trajectory state). Work counters ([`crate::IndexStats`],
-//! [`crate::SpeculationStats`]) are *not* persisted, mirroring the delta-log policy:
+//! a state-determined boolean), and per-version count caches (recomputed without
+//! consuming randomness). Work counters ([`crate::IndexStats`]) are *not* persisted,
+//! mirroring the delta-log policy:
 //! they report lifetime work, not logical state. That exclusion is what lets the
 //! crash harness use whole-snapshot byte equality as its trajectory oracle.
 
@@ -62,6 +68,9 @@ use crate::Protocol;
 
 /// Magic bytes every snapshot starts with ("network-constructor simulation state").
 pub(crate) const MAGIC: [u8; 4] = *b"NCSS";
+
+/// The fixed value of the reserved config slot after `shards` (see the module docs).
+pub(crate) const RESERVED_SLOT: u64 = 8;
 
 /// Current snapshot format version. Bump on any layout change; decoders reject
 /// versions they do not understand instead of misreading them.

@@ -48,49 +48,6 @@ impl ExecutionStats {
     }
 }
 
-/// Counters of the speculative execution engine (`SamplingMode::Speculative`): how
-/// many interactions were executed optimistically ahead of the serialization point,
-/// how many of them the canonical sequential order confirmed, and why the rest were
-/// rolled back. All counters are cumulative over the scheduler's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpeculationStats {
-    /// Interactions applied optimistically inside speculation epochs.
-    pub speculated: u64,
-    /// Speculated interactions confirmed by the canonical sequential replay (the
-    /// speculative and canonical timelines agreed at that ordinal).
-    pub committed: u64,
-    /// Speculated interactions discarded because the canonical replay diverged
-    /// before reaching them (the Time-Warp rollback cost).
-    pub rolled_back: u64,
-    /// Windows that ended in a divergence from the canonical order.
-    pub conflicts: u64,
-    /// Conflicts whose committed prefix merged two components (the merge changed
-    /// another shard's jump distribution or selection ordinal).
-    pub conflict_merges: u64,
-    /// Conflicts whose committed prefix split a component.
-    pub conflict_splits: u64,
-    /// Conflicts caused by state-class count deltas alone (no merge or split: a
-    /// state write shifted the per-class aggregates the jump is drawn from).
-    pub conflict_class_deltas: u64,
-    /// Of all conflicts, how many had a cross-shard interaction (participants owned
-    /// by different shards) in the speculated prefix — counted *in addition to* the
-    /// cause counters above.
-    pub conflict_cross_shard: u64,
-}
-
-impl SpeculationStats {
-    /// Fraction of speculated interactions that were rolled back (0 when nothing
-    /// was speculated).
-    #[must_use]
-    pub fn rollback_rate(&self) -> f64 {
-        if self.speculated == 0 {
-            0.0
-        } else {
-            self.rolled_back as f64 / self.speculated as f64
-        }
-    }
-}
-
 /// Per-shard load and routing snapshot of a [`crate::World`], as reported by
 /// [`crate::World::shard_stats`]. All vectors have one entry per shard, in shard
 /// order; the index-backed loads (singletons, free ports, intra pairs) are zero while
@@ -110,10 +67,6 @@ pub struct ShardStats {
     /// Merges/splits whose two participants lived in different shards — the traffic
     /// the cross-shard pending queues routed.
     pub cross_shard_events: u64,
-    /// Speculative-execution counters (all zero outside `SamplingMode::Speculative`;
-    /// filled by [`crate::Simulation::shard_stats`], which merges the scheduler's
-    /// counters into the world's layout snapshot).
-    pub speculation: SpeculationStats,
 }
 
 impl ShardStats {
@@ -149,7 +102,6 @@ mod tests {
             free_ports: vec![3, 0, 1],
             intra_pairs: vec![5, 1, 0],
             cross_shard_events: 7,
-            speculation: SpeculationStats::default(),
         };
         assert_eq!(stats.total_singletons(), 3);
         assert_eq!(stats.total_free_ports(), 4);

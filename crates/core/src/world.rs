@@ -25,7 +25,7 @@ use crate::delta::{DeltaLog, Epoch, EpochFrame, WorldRecord};
 use crate::index::{BaseCounts, GeomView, IndexStats, InteractionIndex, PairIndex};
 use crate::lock::relock;
 use crate::shard::{trace_lane, ShardMap, PARALLEL_CROSS_MIN};
-use crate::stats::{ShardStats, SpeculationStats};
+use crate::stats::ShardStats;
 use crate::{Component, CoreError, NodeId, Placement, Protocol};
 use nc_geometry::{Coord, Dim, Dir, Rotation, Shape};
 use nc_obs::{Phase, Telemetry, TraceEventKind};
@@ -203,8 +203,9 @@ pub struct World<P: Protocol> {
     /// checkpoint is open.
     delta: DeltaLog<P::State>,
     /// The telemetry handle (disabled by default — every hook is an early return).
-    /// Muted while a delta epoch is open: speculative scratch applies are invisible
-    /// in the committed trajectory and must be invisible in the trace.
+    /// Muted while a delta epoch is open: scratch applies that are rolled back (the
+    /// `nc-verify` explorer's probes) are not part of any trajectory and must be
+    /// invisible in the trace.
     obs: Telemetry,
 }
 
@@ -292,7 +293,7 @@ impl<P: Protocol> World<P> {
     }
 
     /// Lifetime number of undo records the delta log has appended (monotone, never
-    /// rewound): the observable of rollback churn under speculative execution.
+    /// rewound): the observable of checkpoint/rollback churn.
     #[must_use]
     pub fn delta_records(&self) -> u64 {
         self.delta.lifetime_records()
@@ -629,7 +630,7 @@ impl<P: Protocol> World<P> {
         }
         if outcome.merged || outcome.split {
             // Stamped with the smaller participant's canonical lane (not its runtime
-            // shard — see `shard::trace_lane`); muted inside speculative epochs.
+            // shard — see `shard::trace_lane`); muted inside open delta epochs.
             let lane = trace_lane(a.min(b), self.len());
             if outcome.merged {
                 self.obs.trace(lane, TraceEventKind::Merge);
@@ -1269,7 +1270,6 @@ impl<P: Protocol> World<P> {
             free_ports: loads.iter().map(|&(_, f, _)| f).collect(),
             intra_pairs: loads.iter().map(|&(_, _, i)| i).collect(),
             cross_shard_events: self.cross_shard_events.load(Ordering::Relaxed),
-            speculation: SpeculationStats::default(),
         }
     }
 
@@ -1278,8 +1278,8 @@ impl<P: Protocol> World<P> {
     /// Opens a checkpoint: until the matching [`World::rollback`] or
     /// [`World::release`], every mutation appends an undoable record to the delta log
     /// (see [`crate::delta`]). Checkpoints nest; rolling back to an outer epoch
-    /// discards inner ones. This is the rollback primitive of the speculative
-    /// scheduler and the undo half of the snapshot/replay machinery.
+    /// discards inner ones. This is the transition primitive of the `nc-verify`
+    /// explorer (apply, fingerprint, roll back) and of the delta-log suites.
     pub fn checkpoint(&mut self) -> Epoch {
         if !self.delta.recording() {
             self.delta.reset_records();
@@ -1330,7 +1330,7 @@ impl<P: Protocol> World<P> {
         };
         let epoch = self.delta.open(frame);
         // Mutations from here to the matching rollback/release are scratch work
-        // (speculation, undo-suite probes): keep them out of the step-indexed trace.
+        // (explorer probes, undo-suite probes): keep them out of the step-indexed trace.
         self.obs.set_muted(true);
         epoch
     }
@@ -1352,8 +1352,9 @@ impl<P: Protocol> World<P> {
     /// it, the index is rebuilt from the restored configuration instead of unwound —
     /// counts and sets are exact either way, but state-class *ids* may then differ
     /// from a never-checkpointed run's (they are allocation-history dependent). The
-    /// speculative scheduler never hits this path: it only opens epochs with enough
-    /// class headroom that a mid-epoch overflow is impossible.
+    /// `nc-verify` explorer only applies one interaction per epoch to small worlds of
+    /// protocols far below the class cap, and compares configurations up to class
+    /// ids, so it never depends on this path.
     ///
     /// # Errors
     /// [`CoreError::EpochNotOpen`] if `epoch` is not open (already rolled back or
@@ -1470,11 +1471,6 @@ impl<P: Protocol> World<P> {
         }
         self.obs.set_muted(self.delta.recording());
         Ok(())
-    }
-
-    /// The shard owning `node` (contiguous id ranges; see [`crate::shard`]).
-    pub(crate) fn node_shard(&self, node: NodeId) -> usize {
-        self.shard_map.shard_of(node)
     }
 
     // --- snapshots (see `crate::snapshot` for the format and the exactness notes) ------
@@ -1783,23 +1779,6 @@ impl<P: Protocol> World<P> {
             }
         }
         Ok(world)
-    }
-
-    /// Whether the pair index is active with at least `margin` free class slots —
-    /// the speculative scheduler's pre-epoch guard that makes a mid-epoch class-table
-    /// overflow (and hence the rebuild-on-rollback path) impossible.
-    pub(crate) fn class_headroom(&self, margin: usize) -> bool {
-        let cell = self.lock_pairs();
-        matches!(cell.mode, PairMode::Active)
-            && cell.index.live_class_count() + margin <= crate::index::CLASS_CAP
-    }
-
-    /// The shard owning rank `idx` of the canonical effective walk, or `None` when
-    /// the rank resolves through the shared class-cell aggregate rather than any one
-    /// shard's intra list. Used to bucket speculative resolutions by shard.
-    pub(crate) fn effective_owner_shard(&self, idx: u64) -> Option<usize> {
-        let cell = self.lock_pairs();
-        cell.index.intra_eff_shard_of(idx)
     }
 
     /// The multi-node components of the configuration (with the candidate universe of

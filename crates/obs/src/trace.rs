@@ -39,16 +39,6 @@ pub enum TraceEventKind {
         /// The class id retired.
         class: u32,
     },
-    /// The speculative scheduler committed prefetched interactions.
-    SpeculationCommit {
-        /// How many speculated interactions were committed.
-        count: u64,
-    },
-    /// The speculative scheduler rolled interactions back.
-    SpeculationRollback {
-        /// How many speculated interactions were discarded.
-        count: u64,
-    },
     /// The pair index flushed its pending queue.
     IndexFlush {
         /// Nodes whose adjacency was re-derived.
@@ -76,8 +66,6 @@ impl TraceEventKind {
             TraceEventKind::Split => "split",
             TraceEventKind::ClassAlloc { .. } => "class_alloc",
             TraceEventKind::ClassRetire { .. } => "class_retire",
-            TraceEventKind::SpeculationCommit { .. } => "speculation_commit",
-            TraceEventKind::SpeculationRollback { .. } => "speculation_rollback",
             TraceEventKind::IndexFlush { .. } => "index_flush",
             TraceEventKind::Checkpoint { .. } => "checkpoint",
             TraceEventKind::SliceBoundary { .. } => "slice_boundary",
@@ -92,8 +80,6 @@ impl TraceEventKind {
             TraceEventKind::ClassAlloc { class } | TraceEventKind::ClassRetire { class } => {
                 format!("\"class\":{class}")
             }
-            TraceEventKind::SpeculationCommit { count }
-            | TraceEventKind::SpeculationRollback { count } => format!("\"count\":{count}"),
             TraceEventKind::IndexFlush { touched } => format!("\"touched\":{touched}"),
             TraceEventKind::Checkpoint { bytes } => format!("\"bytes\":{bytes}"),
             TraceEventKind::SliceBoundary { slice } => format!("\"slice\":{slice}"),

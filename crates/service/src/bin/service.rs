@@ -1,7 +1,7 @@
 //! The `service` binary: queue + worker pool + HTTP tier in one process.
 //!
 //! ```text
-//! service [--port P] [--workers W] [--slice S] [--seed SEED] [--smoke]
+//! service [--port P] [--workers W] [--slice S] [--seed SEED] [--smoke] [--help]
 //! ```
 //!
 //! Default mode binds `127.0.0.1:P` (an ephemeral port when `--port 0`), prints the
@@ -13,6 +13,10 @@
 //! structurally ill-formed exposition or any missing required family
 //! (`nc_service::metrics::REQUIRED_FAMILIES`). Exits 0 on success, 1 with a
 //! diagnostic on any failure.
+//!
+//! `--help` prints the usage and exits 0. An unknown flag, a missing or malformed
+//! value, or a zero `--workers`/`--slice` prints the usage on stderr and exits 2
+//! before anything binds or starts.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -25,6 +29,16 @@ use nc_service::http::{serve, ServiceHandle};
 use nc_service::worker::{spawn_pool, WorkerConfig};
 use tiny_http::Server;
 
+const USAGE: &str = "\
+usage: service [--port P] [--workers W] [--slice S] [--seed SEED] [--smoke] [--help]
+
+  --port P      TCP port on 127.0.0.1, 0 for an ephemeral one (default 7878)
+  --workers W   worker threads, positive (default 2)
+  --slice S     scheduler steps per worker claim, positive (default 50000)
+  --seed SEED   queue seed (default 12648430)
+  --smoke       run the CI gate on an ephemeral port instead of serving
+  --help, -h    print this message and exit";
+
 struct Args {
     port: u16,
     workers: usize,
@@ -33,7 +47,16 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// What the command line asks for: the usage text, or a run.
+enum Command {
+    Help,
+    Run(Args),
+}
+
+/// Parses the arguments after the program name. Every unknown flag, missing or
+/// malformed value, and a zero worker count or slice is an error, so a typo never
+/// starts a service with a silently coerced setting.
+fn parse_args(raw: &[String]) -> Result<Command, String> {
     let mut args = Args {
         port: 7878,
         workers: 2,
@@ -41,37 +64,51 @@ fn parse_args() -> Result<Args, String> {
         seed: 0xC0FFEE,
         smoke: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = raw.iter();
     while let Some(arg) = it.next() {
-        let mut numeric = |what: &str| -> Result<u64, String> {
-            it.next()
-                .ok_or_else(|| format!("{what} needs a value"))?
-                .parse()
-                .map_err(|_| format!("{what} needs a number"))
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+        let positive = |flag: &str, raw: &String| match raw.parse::<u64>() {
+            Ok(v) if v > 0 => Ok(v),
+            _ => Err(format!("{flag}: `{raw}` is not a positive integer")),
         };
         match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
             "--port" => {
-                args.port =
-                    u16::try_from(numeric("--port")?).map_err(|_| "--port is 16-bit".to_string())?
+                let raw = value("--port")?;
+                args.port = raw
+                    .parse()
+                    .map_err(|_| format!("--port: `{raw}` is not a port number"))?;
             }
             "--workers" => {
-                args.workers = usize::try_from(numeric("--workers")?).unwrap_or(1).max(1)
+                let workers = positive("--workers", value("--workers")?)?;
+                args.workers = usize::try_from(workers)
+                    .map_err(|_| format!("--workers: `{workers}` is too large"))?;
             }
-            "--slice" => args.slice = numeric("--slice")?.max(1),
-            "--seed" => args.seed = numeric("--seed")?,
+            "--slice" => args.slice = positive("--slice", value("--slice")?)?,
+            "--seed" => {
+                let raw = value("--seed")?;
+                args.seed = raw
+                    .parse()
+                    .map_err(|_| format!("--seed: `{raw}` is not an integer"))?;
+            }
             "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown argument: {other}")),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(args)
+    Ok(Command::Run(args))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&raw) {
+        Ok(Command::Run(args)) => args,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            eprintln!("service: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("service: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     let port = if args.smoke { 0 } else { args.port };

@@ -1,7 +1,7 @@
 //! Job specifications: what a tenant submits, and how submissions are parsed.
 //!
 //! A job is one simulation run — protocol, population size, seed, sampling mode,
-//! shard/speculation layout and a lifetime step budget — owned by a named tenant.
+//! shard layout and a lifetime step budget — owned by a named tenant.
 //! Submissions arrive as `application/x-www-form-urlencoded` bodies
 //! (`protocol=square&n=16&seed=7`); every malformed field is a typed [`SpecError`]
 //! that the HTTP tier answers with `422 Unprocessable Entity`, mirroring the
@@ -61,8 +61,6 @@ pub struct JobSpec {
     pub mode: SamplingMode,
     /// Shard count of the world layout.
     pub shards: usize,
-    /// Speculation window (only meaningful for speculative sampling).
-    pub speculation: usize,
     /// Lifetime step budget: the job fails with `budget-exhausted` once its
     /// cumulative step count (which survives crash/resume) reaches this.
     pub step_budget: u64,
@@ -89,7 +87,6 @@ impl JobSpec {
             seed: 0xC0FFEE,
             mode: SamplingMode::Adaptive,
             shards: 1,
-            speculation: 0,
             step_budget: 2_000_000_000,
             tenant: "default".to_string(),
             weight: 1,
@@ -98,8 +95,7 @@ impl JobSpec {
     }
 
     /// The sampling-mode label this spec shows in sweep rows, following the
-    /// `scheduler_sweep` labelling (`legacy`, `indexed`, `batched`, `sharded4`,
-    /// `speculative8`, …).
+    /// `scheduler_sweep` labelling (`legacy`, `indexed`, `batched`, `sharded4`).
     #[must_use]
     pub fn mode_label(&self) -> String {
         match self.mode {
@@ -107,14 +103,15 @@ impl JobSpec {
             SamplingMode::Legacy => "legacy".to_string(),
             SamplingMode::Batched => "batched".to_string(),
             SamplingMode::Sharded => format!("sharded{}", self.shards),
-            SamplingMode::Speculative => format!("speculative{}", self.speculation),
         }
     }
 
     /// Parses an `application/x-www-form-urlencoded` submission body. Unknown keys
     /// are rejected (a typo would otherwise silently fall back to a default and run
     /// the wrong experiment); missing keys other than `protocol` and `n` take
-    /// defaults.
+    /// defaults. The speculative sampling mode is retired: `mode=speculative` and
+    /// any `speculation` other than `0` are [`SpecError::Retired`] (the key itself
+    /// is still accepted with `0` until the repo benchmark stops sending it).
     ///
     /// # Errors
     /// A typed [`SpecError`] naming the offending field.
@@ -134,12 +131,16 @@ impl JobSpec {
                         "legacy" => SamplingMode::Legacy,
                         "batched" => SamplingMode::Batched,
                         "sharded" => SamplingMode::Sharded,
-                        "speculative" => SamplingMode::Speculative,
+                        "speculative" => return Err(SpecError::Retired { key: "mode" }),
                         _ => return Err(SpecError::UnknownMode),
                     }
                 }
                 "shards" => spec.shards = parse_number("shards", value)?,
-                "speculation" => spec.speculation = parse_number("speculation", value)?,
+                "speculation" => {
+                    if parse_number::<u64>("speculation", value)? != 0 {
+                        return Err(SpecError::Retired { key: "speculation" });
+                    }
+                }
                 "step_budget" => spec.step_budget = parse_number("step_budget", value)?,
                 "tenant" => {
                     if value.is_empty() || value.len() > 64 {
@@ -192,6 +193,12 @@ pub enum SpecError {
     UnknownProtocol,
     /// `mode` names no known sampling mode.
     UnknownMode,
+    /// The field asks for retired speculative sampling (`mode=speculative`, or a
+    /// nonzero `speculation` window).
+    Retired {
+        /// The offending key.
+        key: &'static str,
+    },
     /// A numeric field is unparsable or out of range.
     BadNumber {
         /// The offending key.
@@ -215,7 +222,11 @@ impl fmt::Display for SpecError {
             }
             SpecError::UnknownMode => write!(
                 f,
-                "unknown mode (expected adaptive, legacy, batched, sharded or speculative)"
+                "unknown mode (expected adaptive, legacy, batched or sharded)"
+            ),
+            SpecError::Retired { key } => write!(
+                f,
+                "field '{key}' asks for speculative sampling, which is retired (use mode=sharded)"
             ),
             SpecError::BadNumber { key } => write!(f, "field '{key}' is not a valid number"),
             SpecError::BadTenant => write!(f, "tenant must be 1..=64 bytes"),
@@ -278,6 +289,19 @@ mod tests {
     }
 
     #[test]
+    fn the_repo_benchmark_body_is_still_accepted() {
+        // perfbench submits exactly this shape; `speculation=0` stays valid.
+        let spec = JobSpec::parse(
+            "protocol=counting&n=512&seed=9&mode=sharded&shards=1&speculation=0&tenant=client0",
+        )
+        .expect("benchmark body");
+        assert_eq!(spec.mode, SamplingMode::Sharded);
+        assert_eq!(spec.shards, 1);
+        assert_eq!(spec.tenant, "client0");
+        assert_eq!(spec.mode_label(), "sharded1");
+    }
+
+    #[test]
     fn defaults_fill_optional_fields() {
         let spec = JobSpec::parse("protocol=line&n=8").expect("minimal spec");
         assert_eq!(spec.protocol, ProtocolKind::Line);
@@ -294,6 +318,18 @@ mod tests {
             ("protocol=line", SpecError::MissingN),
             ("protocol=teleport&n=4", SpecError::UnknownProtocol),
             ("protocol=line&n=4&mode=psychic", SpecError::UnknownMode),
+            (
+                "protocol=line&n=4&mode=speculative",
+                SpecError::Retired { key: "mode" },
+            ),
+            (
+                "protocol=line&n=4&speculation=3",
+                SpecError::Retired { key: "speculation" },
+            ),
+            (
+                "protocol=line&n=4&speculation=-1",
+                SpecError::BadNumber { key: "speculation" },
+            ),
             ("protocol=line&n=zero", SpecError::BadNumber { key: "n" }),
             ("protocol=line&n=0", SpecError::BadNumber { key: "n" }),
             (

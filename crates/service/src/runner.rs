@@ -57,8 +57,7 @@ impl JobRunner {
         let config = SimulationConfig::new(spec.n)
             .with_seed(spec.seed)
             .with_sampling(spec.mode)
-            .with_shards(spec.shards)
-            .with_speculation(spec.speculation);
+            .with_shards(spec.shards);
         match spec.protocol {
             ProtocolKind::Line => JobRunner::Line(Simulation::new(GlobalLine::new(), config)),
             ProtocolKind::Square => JobRunner::Square(Simulation::new(Square::new(), config)),

@@ -90,12 +90,6 @@ pub fn rows_json(queue: &JobQueue) -> String {
                     skipped_steps: report.skipped_steps,
                     steps_per_sec: report.steps as f64 / seconds,
                     completed: report.completed,
-                    // The service does not run the sweep's speculation probes per
-                    // job; speculation counters are reported as zero here.
-                    speculated: 0,
-                    spec_committed: 0,
-                    spec_rolled_back: 0,
-                    spec_rollback_rate: 0.0,
                     snapshot_ms: 0.0,
                     resume_ms: 0.0,
                     // Per-job phase profiling is not wired through the service

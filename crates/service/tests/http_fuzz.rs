@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use nc_service::http::{route, ServiceHandle};
 use nc_service::worker::run_slice;
+use nc_service::SpecError;
 use rand::Rng;
 use tiny_http::{parse_request_bytes, HttpError, Limits, Method, Server};
 
@@ -145,6 +146,28 @@ fn the_router_is_total_over_adversarial_urls_and_bodies() {
             "trial {trial}: {method} {url} answered {status}"
         );
     }
+}
+
+#[test]
+fn retired_speculation_inputs_are_named_422s() {
+    let service = ServiceHandle::new(5);
+    for (body, key) in [
+        ("protocol=line&n=8&mode=speculative", "mode"),
+        (
+            "protocol=line&n=8&mode=sharded&speculation=3",
+            "speculation",
+        ),
+    ] {
+        let response = route(&service, Method::Post, "/jobs", body.as_bytes());
+        assert_eq!(response.status_code(), 422, "{body}");
+        let text = String::from_utf8_lossy(response.data());
+        let expected = SpecError::Retired { key }.to_string();
+        assert!(text.contains(&expected), "{body}: {text}");
+    }
+    // The repo benchmark's exact submission shape is still accepted.
+    let body = "protocol=square&n=196&seed=3&mode=sharded&shards=1&speculation=0&tenant=client0";
+    let response = route(&service, Method::Post, "/jobs", body.as_bytes());
+    assert_eq!(response.status_code(), 201);
 }
 
 #[test]

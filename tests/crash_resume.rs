@@ -10,11 +10,10 @@
 //! The suite has three parts:
 //!
 //! 1. **Crash/resume exactness** — reference runs of `GlobalLine`, `Square` and
-//!    `CountingOnALine` across `{batched, sharded, speculative} × shards {1, 4}`
-//!    record a checkpoint after every step; the run is then "crashed" at
-//!    adversarially chosen steps (the very first step, right after the first
-//!    merge while the class tables churn, the middle of a speculation window,
-//!    one step before the end), resumed from the snapshot taken at the crash
+//!    `CountingOnALine` across `{batched, sharded} × shards {1, 4}` record a
+//!    checkpoint after every step; the run is then "crashed" at adversarially
+//!    chosen steps (the very first step, right after the first merge while the
+//!    class tables churn, a few steps past it, one step before the end), resumed from the snapshot taken at the crash
 //!    point, and re-driven while comparing checkpoint bytes step for step.
 //! 2. **Corruption rejection** — every strict prefix of a sealed snapshot and
 //!    every single-bit flip anywhere in it must be rejected by
@@ -23,6 +22,8 @@
 //!    pass `from_bytes` and reach the structural decoder; `Simulation::resume`
 //!    must then either succeed (the flip hit a don't-care encoding, e.g. a stats
 //!    counter) or fail with a typed error — a panic anywhere fails the suite.
+//!    The retired config fields (sampling tag 4, the reserved slot after
+//!    `shards`) are patched in on purpose and must decode to a typed error.
 
 use shape_constructors::core::{
     CoreError, SamplingMode, Simulation, SimulationConfig, Snapshot, SnapshotProtocol,
@@ -36,39 +37,24 @@ use shape_constructors::protocols::square::Square;
 struct Layout {
     sampling: SamplingMode,
     shards: usize,
-    speculation: usize,
 }
 
-const LAYOUTS: [Layout; 6] = [
+const LAYOUTS: [Layout; 4] = [
     Layout {
         sampling: SamplingMode::Batched,
         shards: 1,
-        speculation: 0,
     },
     Layout {
         sampling: SamplingMode::Batched,
         shards: 4,
-        speculation: 0,
     },
     Layout {
         sampling: SamplingMode::Sharded,
         shards: 1,
-        speculation: 0,
     },
     Layout {
         sampling: SamplingMode::Sharded,
         shards: 4,
-        speculation: 0,
-    },
-    Layout {
-        sampling: SamplingMode::Speculative,
-        shards: 1,
-        speculation: 8,
-    },
-    Layout {
-        sampling: SamplingMode::Speculative,
-        shards: 4,
-        speculation: 8,
     },
 ];
 
@@ -78,7 +64,6 @@ fn config(n: usize, seed: u64, layout: Layout) -> SimulationConfig {
         .with_max_steps(50_000_000)
         .with_sampling(layout.sampling)
         .with_shards(layout.shards)
-        .with_speculation(layout.speculation)
 }
 
 /// Runs the reference execution, checkpointing after construction and after every
@@ -101,8 +86,7 @@ fn reference_trajectory<P: SnapshotProtocol>(
 
 /// The adversarial crash points for a recorded trajectory: the very first step, the
 /// step right after the first merge (mid class-table churn), a point a few steps
-/// past it (inside a speculation window at `k = 8`), the midpoint, and the step
-/// before the last recorded one.
+/// past it, the midpoint, and the step before the last recorded one.
 fn crash_points(merges: &[u64]) -> Vec<usize> {
     let last = merges.len() - 1;
     let first_merge = merges.iter().position(|&m| m > 0).unwrap_or(last);
@@ -181,9 +165,8 @@ fn resume_continues_to_the_same_terminal_configuration() {
     // Beyond lockstep checkpoints: a crashed-and-resumed run driven to stability
     // finishes with the same statistics and output shape as the uninterrupted run.
     let layout = Layout {
-        sampling: SamplingMode::Speculative,
+        sampling: SamplingMode::Sharded,
         shards: 4,
-        speculation: 8,
     };
     let mut reference = Simulation::new(GlobalLine::new(), config(20, 3, layout));
     for _ in 0..40 {
@@ -212,7 +195,6 @@ fn sealed_fixture() -> Vec<u8> {
     let layout = Layout {
         sampling: SamplingMode::Batched,
         shards: 2,
-        speculation: 0,
     };
     let mut sim = Simulation::new(Square::new(), config(9, 5, layout));
     for _ in 0..25 {
@@ -301,6 +283,52 @@ fn checksum_fixed_bit_flips_never_panic_resume() {
         rejected > 0,
         "structural validation must reject at least some corrupted bodies"
     );
+}
+
+/// Byte offset of the sampling tag in a checkpoint of the `square` protocol:
+/// magic (4), version (2), the u16-prefixed name, then n, seed, max_steps (u64).
+const SQUARE_SAMPLING_TAG_AT: usize = 4 + 2 + 2 + "square".len() + 3 * 8;
+/// The reserved u64 slot (a retired speculation window, fixed at 8) follows tag
+/// and shards.
+const SQUARE_RESERVED_SLOT_AT: usize = SQUARE_SAMPLING_TAG_AT + 1 + 8;
+
+#[test]
+fn retired_config_fields_decode_to_typed_errors() {
+    let bytes = sealed_fixture();
+    assert_eq!(bytes[SQUARE_SAMPLING_TAG_AT], 2, "the fixture is batched");
+    assert_eq!(
+        bytes[SQUARE_RESERVED_SLOT_AT..SQUARE_RESERVED_SLOT_AT + 8],
+        8u64.to_le_bytes(),
+        "checkpoints always write the reserved slot as 8"
+    );
+
+    // Sampling tag 4 named the removed speculative mode; it is never reused.
+    let mut retired_tag = bytes.clone();
+    retired_tag[SQUARE_SAMPLING_TAG_AT] = 4;
+    fixup_checksum(&mut retired_tag);
+    let snapshot = Snapshot::from_bytes(retired_tag).expect("checksum re-sealed");
+    assert_eq!(
+        Simulation::resume(Square::new(), &snapshot).err(),
+        Some(CoreError::SnapshotCorrupt {
+            what: "unknown sampling-mode tag"
+        })
+    );
+
+    // Any other reserved value (an old run's window of 0 or 3) is corrupt too.
+    for window in [0u64, 3] {
+        let mut patched = bytes.clone();
+        patched[SQUARE_RESERVED_SLOT_AT..SQUARE_RESERVED_SLOT_AT + 8]
+            .copy_from_slice(&window.to_le_bytes());
+        fixup_checksum(&mut patched);
+        let snapshot = Snapshot::from_bytes(patched).expect("checksum re-sealed");
+        assert_eq!(
+            Simulation::resume(Square::new(), &snapshot).err(),
+            Some(CoreError::SnapshotCorrupt {
+                what: "reserved slot (retired speculation window) is not 8"
+            }),
+            "window {window}"
+        );
+    }
 }
 
 #[test]

@@ -694,3 +694,28 @@ fn sharded_runs_report_bulk_credits_identically_across_layouts() {
     }
     assert!(per_layout.iter().all(|&s| s == per_layout[0]));
 }
+
+#[test]
+fn retired_speculation_shims_leave_sharded_runs_unchanged() {
+    // `with_speculation` (config and scheduler) survives only as an inert name for
+    // the repo benchmark: setting it must not move a run or its checkpoint bytes.
+    for shards in [1usize, 4] {
+        let config = SimulationConfig::new(24)
+            .with_seed(4)
+            .with_sampling(SamplingMode::Sharded)
+            .with_shards(shards);
+        let shimmed = config.with_speculation(8);
+        assert_eq!(shimmed, config, "shards={shards}");
+        assert_eq!(shimmed.speculation, 0);
+        let mut plain = Simulation::new(GlobalLine::new(), config);
+        let scheduler = UniformScheduler::with_mode(4, SamplingMode::Sharded).with_speculation(8);
+        let mut retired = Simulation::with_scheduler(GlobalLine::new(), shimmed, scheduler);
+        let report = plain.run_until_stable();
+        assert_eq!(report, retired.run_until_stable(), "shards={shards}");
+        assert_eq!(
+            plain.checkpoint().expect("checkpoint").as_bytes(),
+            retired.checkpoint().expect("checkpoint").as_bytes(),
+            "shards={shards}"
+        );
+    }
+}
